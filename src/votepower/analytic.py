@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtri
 
 from .errors import ConvergenceFailureError, InvalidArgumentsError
 
@@ -521,6 +519,10 @@ def coleman_error_ratio(
         raise InvalidArgumentsError("target value outside [2^-2n, 1/2]")
     if y == 0.5:
         return 1.0
+    # Imported here: scipy dominates the package's import time.
+    from scipy.optimize import brentq
+    from scipy.special import ndtri
+
     q_normal = 0.5 + float(ndtri(1.0 - y)) / math.sqrt(2.0 * (n + 1))
 
     def objective(q: float) -> float:

@@ -167,7 +167,7 @@ def _cmd_moments(args):
 def _cmd_indices(args):
     game = _game_from_args(args)
     profile = games.banzhaf(game)
-    idle = sorted(i + 1 for i in games.dummies(game))
+    idle = sorted(i + 1 for i in games._zero_swing_players(profile))
     printed = games.optimal_quota_diagnostic(game.weights, "printed")
     payload = {
         "n": game.n,

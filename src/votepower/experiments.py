@@ -10,13 +10,14 @@ only on (seed, stream, i), so shorter runs are prefixes of longer ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic
+from . import analytic, games
 from .errors import BudgetExceededError, InvalidArgumentsError
 from .simplex import as_seed, sample_uniform_simplex_batch
 
@@ -43,11 +44,7 @@ class QuotaCurve:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        q = np.asarray(self.quotas, dtype=np.float64)
-        if q.size == 0 or np.any(np.diff(q) <= 0):
-            raise InvalidArgumentsError("quota grid must be strictly increasing")
-        if q[0] <= 0.5 or q[-1] > 1.0:
-            raise InvalidArgumentsError("quota grid must lie in (1/2, 1]")
+        _validate_grid(self.quotas)
         if np.any(np.asarray(self.stderr) < 0) or np.any(np.asarray(self.samples) <= 0):
             raise InvalidArgumentsError("standard errors must be >= 0, samples > 0")
 
@@ -59,9 +56,7 @@ class QuotaCurve:
 
 
 def _validate_grid(quotas) -> np.ndarray:
-    grid = np.asarray(
-        default_quota_grid() if quotas is None else quotas, dtype=np.float64
-    ).reshape(-1)
+    grid = np.asarray(quotas, dtype=np.float64).reshape(-1)
     if grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise InvalidArgumentsError("quota grid must be strictly increasing")
     if grid[0] <= 0.5 or grid[-1] > 1.0:
@@ -76,22 +71,6 @@ def _sorted_weight_chunk(n: int, seed, chunk_index: int, count: int) -> np.ndarr
     )[:count]
     draws.sort(axis=1)
     return draws[:, ::-1]
-
-
-def _coalition_sum_table(weights_block: np.ndarray) -> np.ndarray:
-    """(2^n, block) coalition weights; grand coalition pinned to 1.0.
-
-    Mask bit i marks player i (column i of the block), matching the
-    conventions of the exact kernels in the games module.
-    """
-    block, n = weights_block.shape
-    table = np.zeros((1 << n, block))
-    filled = 1
-    for i in range(n):
-        table[filled:2 * filled] = table[:filled] + weights_block[:, i]
-        filled *= 2
-    table[-1] = 1.0
-    return table
 
 
 class _Accumulator:
@@ -129,58 +108,43 @@ class _Accumulator:
         return mean, stderr
 
 
-def _mc_chunk_stats(n, grid, seed, chunk_index, count, statistic):
-    """Per-chunk accumulators over (grid, ranks)."""
-    weights = _sorted_weight_chunk(n, seed, chunk_index, count)
-    acc = _Accumulator((grid.size, n))
-    member_rows = [
-        (np.arange(1 << n, dtype=np.uint32) >> np.uint32(i) & np.uint32(1)).astype(bool)
-        for i in range(n)
-    ]
-    block_cols = max(1, _SUM_CELL_BUDGET // (1 << n))
-    for start in range(0, count, block_cols):
-        chunk = weights[start:start + block_cols]
-        table = _coalition_sum_table(chunk)
-        member = np.empty((n, chunk.shape[0]), dtype=np.int64)
-        block = np.empty((grid.size, n, chunk.shape[0]))
-        for g, quota in enumerate(grid):
-            win = table >= quota
-            omega = win.sum(axis=0)
-            for i in range(n):
-                member[i] = win[member_rows[i]].sum(axis=0)
-            swing = 2 * member - omega
+def _winning_blocks(weights, grid, members):
+    """Winning counts over the grid for blocks of a chunk's samples, each
+    block's coalition-sum table within the cell budget."""
+    cols = max(1, _SUM_CELL_BUDGET >> weights.shape[1])
+    for start in range(0, len(weights), cols):
+        yield games._winning_counts(
+            games._full_sums(weights[start:start + cols].T), grid, members
+        )
+
+
+def _power_values(weights, grid, statistic):
+    """Per-sample index profiles over (grid, ranks), largest first."""
+    scale = float(2 ** (weights.shape[1] - 1))
+    for omega, swing in _winning_blocks(weights, grid, members=True):
+        swing *= 2
+        swing -= omega[:, None]
+        # Values overwrite the integer swings one quota at a time, so no
+        # second (grid, n, block) array is held.
+        values = swing.view(np.float64)
+        for g in range(grid.size):
             if statistic == "psi":
-                values = swing / float(2 ** (n - 1))
+                np.divide(swing[g], scale, out=values[g])
             else:
-                values = swing / swing.sum(axis=0)
-            block[g] = np.sort(values, axis=0)[::-1]
-        acc.add(block, axis=2)
-    return acc
+                np.divide(swing[g], swing[g].sum(axis=0), out=values[g])
+        values.sort(axis=1)
+        yield values[:, ::-1]
 
 
-def _mc_chunk_coleman(n, grid, seed, chunk_index, count):
-    weights = _sorted_weight_chunk(n, seed, chunk_index, count)
-    acc = _Accumulator(grid.size)
-    scale = 2.0 ** (-n)
-    block_cols = max(1, _SUM_CELL_BUDGET // (1 << n))
-    for start in range(0, count, block_cols):
-        table = _coalition_sum_table(weights[start:start + block_cols])
-        block = np.empty((grid.size, table.shape[1]))
-        for g, quota in enumerate(grid):
-            block[g] = (table >= quota).sum(axis=0) * scale
-        acc.add(block, axis=1)
-    return acc
+def _coleman_values(weights, grid):
+    scale = 2.0 ** (-weights.shape[1])
+    for omega, _ in _winning_blocks(weights, grid, members=False):
+        yield omega * scale
 
 
-def _mc_chunk_hoeffding(n, grid, seed, chunk_index, count):
-    weights = _sorted_weight_chunk(n, seed, chunk_index, count)
+def _hoeffding_values(weights, grid):
     ssq = (weights * weights).sum(axis=1)
-    acc = _Accumulator(grid.size)
-    block = np.exp(
-        -2.0 * (grid[:, None] - 0.5) ** 2 / ssq[None, :]
-    )
-    acc.add(block, axis=1)
-    return acc
+    yield np.exp(-2.0 * (grid[:, None] - 0.5) ** 2 / ssq[None, :])
 
 
 def _run_chunks(worker, samples: int, workers: int) -> _Accumulator:
@@ -205,7 +169,13 @@ def _run_chunks(worker, samples: int, workers: int) -> _Accumulator:
     return combined
 
 
-def _check_mc_args(n, samples):
+def _mc_curves(n, quotas, samples, seed, workers, values, names, method="mc"):
+    """The Monte Carlo run shared by the ``mc_*`` estimators.
+
+    ``values(weights, grid)`` maps a chunk of descending-sorted weight
+    vectors, one row per sample, to blocks of values with the samples on
+    the last axis; the axes after the grid give one curve per name.
+    """
     if samples < 1:
         raise InvalidArgumentsError("sample count must be at least 1")
     if n < 1:
@@ -214,6 +184,26 @@ def _check_mc_args(n, samples):
         raise BudgetExceededError(
             f"vectorized Monte Carlo supports n <= {MC_KERNEL_BUDGET}"
         )
+    grid = _validate_grid(default_quota_grid() if quotas is None else quotas)
+    base = as_seed(seed)
+
+    def worker(index, count):
+        acc = None
+        for block in values(_sorted_weight_chunk(n, base, index, count), grid):
+            if acc is None:
+                acc = _Accumulator(block.shape[:-1])
+            acc.add(block, axis=-1)
+        return acc
+
+    mean, stderr = _run_chunks(worker, samples, workers).finalize(samples)
+    mean = mean.reshape(grid.size, -1)
+    stderr = stderr.reshape(grid.size, -1)
+    meta = {"n": n, "seed": base.seed, "stream": base.stream, "method": method}
+    counts = np.full(grid.size, samples, dtype=np.int64)
+    return [
+        QuotaCurve(grid, name, mean[:, k].copy(), stderr[:, k].copy(), counts, dict(meta))
+        for k, name in enumerate(names)
+    ]
 
 
 def mc_power_curve(
@@ -231,73 +221,28 @@ def mc_power_curve(
     descending order, and accumulated per rank.  Returns one curve per
     rank, largest player first.
     """
-    _check_mc_args(n, samples)
     if statistic not in ("beta", "psi"):
         raise InvalidArgumentsError(f"unknown statistic {statistic!r}")
-    grid = _validate_grid(quotas)
-    base = as_seed(seed)
-
-    def worker(index, count):
-        return _mc_chunk_stats(n, grid, base, index, count, statistic)
-
-    mean, stderr = _run_chunks(worker, samples, workers).finalize(samples)
-    meta = {"n": n, "seed": base.seed, "stream": base.stream, "method": "mc"}
-    counts = np.full(grid.size, samples, dtype=np.int64)
-    return [
-        QuotaCurve(
-            grid,
-            f"{statistic}_rank_{k + 1}",
-            mean[:, k].copy(),
-            stderr[:, k].copy(),
-            counts,
-            dict(meta),
-        )
-        for k in range(n)
-    ]
+    values = functools.partial(_power_values, statistic=statistic)
+    names = [f"{statistic}_rank_{k + 1}" for k in range(n)]
+    return _mc_curves(n, quotas, samples, seed, workers, values, names)
 
 
 def mc_coleman_curve(
     n: int, quotas=None, samples: int = 65536, seed=0, workers: int = 1
 ) -> QuotaCurve:
     """Monte Carlo mean of the exact per-game Coleman index per quota."""
-    _check_mc_args(n, samples)
-    grid = _validate_grid(quotas)
-    base = as_seed(seed)
-
-    def worker(index, count):
-        return _mc_chunk_coleman(n, grid, base, index, count)
-
-    mean, stderr = _run_chunks(worker, samples, workers).finalize(samples)
-    return QuotaCurve(
-        grid,
-        "coleman",
-        mean,
-        stderr,
-        np.full(grid.size, samples, dtype=np.int64),
-        {"n": n, "seed": base.seed, "stream": base.stream, "method": "mc"},
-    )
+    return _mc_curves(n, quotas, samples, seed, workers, _coleman_values, ["coleman"])[0]
 
 
 def mc_hoeffding_curve(
     n: int, quotas=None, samples: int = 65536, seed=0, workers: int = 1
 ) -> QuotaCurve:
     """Monte Carlo mean of the per-game Hoeffding bound on the Coleman index."""
-    _check_mc_args(n, samples)
-    grid = _validate_grid(quotas)
-    base = as_seed(seed)
-
-    def worker(index, count):
-        return _mc_chunk_hoeffding(n, grid, base, index, count)
-
-    mean, stderr = _run_chunks(worker, samples, workers).finalize(samples)
-    return QuotaCurve(
-        grid,
-        "hoeffding_bound",
-        mean,
-        stderr,
-        np.full(grid.size, samples, dtype=np.int64),
-        {"n": n, "seed": base.seed, "stream": base.stream, "method": "hoeffding-bound"},
-    )
+    return _mc_curves(
+        n, quotas, samples, seed, workers, _hoeffding_values, ["hoeffding_bound"],
+        method="hoeffding-bound",
+    )[0]
 
 
 # --------------------------------------------------------------------------
@@ -372,14 +317,15 @@ def discover_classes(n: int, budget: int = 10 ** 6, seed=0) -> GameClassCatalog:
         weights.sort(axis=1)
         weights = weights[:, ::-1]
         quotas = 1.0 - 0.5 * rng.random(count)  # uniform on (1/2, 1]
-        table = _coalition_sum_table(weights)
-        win = table >= quotas[None, :]
-        packed = np.ascontiguousarray(np.packbits(win, axis=0).T)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-        uniques, counts = np.unique(keys, return_counts=True)
-        for key, hits in zip(uniques, counts):
-            raw = key.tobytes()
-            families[raw] = families.get(raw, 0) + int(hits)
+        cols = _SUM_CELL_BUDGET >> n
+        for start in range(0, count, cols):
+            win = games._full_sums(weights[start:start + cols].T) >= quotas[start:start + cols]
+            packed = np.ascontiguousarray(np.packbits(win, axis=0).T)
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+            uniques, counts = np.unique(keys, return_counts=True)
+            for key, hits in zip(uniques, counts):
+                raw = key.tobytes()
+                families[raw] = families.get(raw, 0) + int(hits)
         remaining -= count
         chunk_index += 1
     classes = []

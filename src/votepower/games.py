@@ -10,9 +10,10 @@ each half's subset sums are accumulated in increasing index order, and a
 coalition's weight is its A-part plus its B-part.  The grand coalition's
 weight is pinned to exactly 1.0, which the weight-vector invariant
 licenses (entries sum to 1 up to 1e-12) and which makes q = 1 behave like
-the real game.  Both counting kernels share this arithmetic, so the
+the real game.  Every kernel takes its coalition weights from here, the
+Monte Carlo estimators and class discovery included, so the
 meet-in-the-middle counter reproduces full enumeration bit for bit, ties
-included.
+included, and a sampled game's Monte Carlo profile equals its exact one.
 
 For inputs where float ties at the quota are a real concern, build the
 game from integer weights and a rational quota (``VotingGame.from_integers``):
@@ -32,7 +33,7 @@ from .simplex import as_weight_vector
 NAIVE_BUDGET = 30      # full 2^n enumeration
 MITM_BUDGET = 48       # meet in the middle, 2^(n/2) memory
 DENSE_BUDGET = 24      # largest n whose 2^n sum array is materialized whole
-CURVE_BUDGET = 20      # quota curves keep a 2^n x n rank table
+CURVE_BUDGET = 20      # quota curves keep n counts per breakpoint, up to 2^(n-1)
 
 # Float comparisons against the quota go through "count b >= q - a" searches;
 # candidates within this absolute window of the boundary are re-checked with
@@ -107,9 +108,9 @@ def _half_sizes(n: int) -> tuple[int, int]:
 
 
 def _accumulated_sums(values: np.ndarray) -> np.ndarray:
-    """Subset sums of one half, index bit i <-> element i, added in index order."""
-    size = len(values)
-    out = np.zeros(1 << size, dtype=values.dtype)
+    """Subset sums of one half, index bit i <-> element i, added in index
+    order.  Axes after the first carry independent games."""
+    out = np.zeros((1 << len(values),) + values.shape[1:], dtype=values.dtype)
     filled = 1
     for v in values:
         out[filled:2 * filled] = out[:filled] + v
@@ -117,21 +118,26 @@ def _accumulated_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_sums(game: VotingGame):
-    """(A sums, B sums) in the canonical split; integer dtype in exact mode."""
+def _kernel_weights(game: VotingGame) -> np.ndarray:
+    """The weights the counting kernels add: int64 in exact mode."""
     if game.exact:
-        w = np.array(game.int_weights, dtype=np.int64)
-    else:
-        w = game.weights
-    h, _ = _half_sizes(game.n)
-    return _accumulated_sums(w[:h]), _accumulated_sums(w[h:])
+        return np.array(game.int_weights, dtype=np.int64)
+    return game.weights
 
 
-def _full_sums(game: VotingGame) -> np.ndarray:
-    """All 2^n coalition weights; mask = (b_mask << h) | a_mask."""
-    sa, sb = _split_sums(game)
-    sums = (sb[:, None] + sa[None, :]).reshape(-1)
-    if not game.exact:
+def _split_sums(weights: np.ndarray):
+    """(A sums, B sums) in the canonical split of the first (player) axis."""
+    h, _ = _half_sizes(len(weights))
+    return _accumulated_sums(weights[:h]), _accumulated_sums(weights[h:])
+
+
+def _full_sums(weights: np.ndarray) -> np.ndarray:
+    """All 2^n coalition weights; mask = (b_mask << h) | a_mask.  An (n, block)
+    matrix of games gives a (2^n, block) table.  Float sums have the grand
+    coalition pinned to 1.0."""
+    sa, sb = _split_sums(weights)
+    sums = (sb[:, None] + sa[None, :]).reshape((-1,) + sa.shape[1:])
+    if sums.dtype.kind == "f":
         sums[-1] = 1.0
     return sums
 
@@ -206,13 +212,9 @@ def count_winning_naive(game: VotingGame) -> tuple[int, np.ndarray]:
         def wins(row):
             return row >= quota
 
-    h, r = _half_sizes(n)
-    sa, sb = _split_sums(game)
+    weights = _kernel_weights(game)
     if n <= DENSE_BUDGET:
-        sums = (sb[:, None] + sa[None, :]).reshape(-1)
-        if not game.exact:
-            sums[-1] = 1.0
-        win = wins(sums)
+        win = wins(_full_sums(weights))
         omega = int(np.count_nonzero(win))
         winners = np.flatnonzero(win).astype(np.uint32)
         member = np.empty(n, dtype=np.int64)
@@ -221,6 +223,8 @@ def count_winning_naive(game: VotingGame) -> tuple[int, np.ndarray]:
         return omega, member
 
     # Streaming variant for 24 < n <= 30: one B-mask row at a time.
+    h, r = _half_sizes(n)
+    sa, sb = _split_sums(weights)
     bits_a = [_mask_has_bit(h, i) for i in range(h)]
     omega = 0
     member = np.zeros(n, dtype=np.int64)
@@ -252,7 +256,7 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     if n > MITM_BUDGET:
         raise BudgetExceededError(f"meet-in-the-middle supports n <= {MITM_BUDGET}")
     h, r = _half_sizes(n)
-    sa, sb = _split_sums(game)
+    sa, sb = _split_sums(_kernel_weights(game))
 
     if game.exact:
         target, den = _winning_threshold(game)
@@ -317,12 +321,14 @@ def banzhaf(game: VotingGame) -> PowerProfile:
     return _profile_from_counts(game.n, omega, member)
 
 
+def _zero_swing_players(profile: PowerProfile) -> frozenset[int]:
+    swing = 2 * profile.member_counts - profile.winning_count
+    return frozenset(int(i) for i in np.flatnonzero(swing == 0))
+
+
 def dummies(game: VotingGame) -> frozenset[int]:
     """Players whose absolute index is exactly zero (0-based indices)."""
-    omega, member = (
-        count_winning_naive(game) if game.n <= 20 else count_winning_mitm(game)
-    )
-    return frozenset(int(i) for i in np.flatnonzero(2 * member == omega))
+    return _zero_swing_players(banzhaf(game))
 
 
 def hoeffding_bound(game: VotingGame) -> float:
@@ -383,16 +389,49 @@ class StepCurve:
         return rows
 
 
-def _counts_for_quotas(sums: np.ndarray, n: int, quotas: np.ndarray):
-    """omega and per-player counts for many quotas from one sum array."""
-    order = np.argsort(sums, kind="stable")
-    sorted_sums = sums[order]
-    bits = (order[:, None] >> np.arange(n, dtype=order.dtype) & 1).astype(np.int32)
-    suffix = np.zeros((sums.size + 1, n), dtype=np.int64)
-    suffix[:-1] = np.cumsum(bits[::-1], axis=0)[::-1]
-    pos = np.searchsorted(sorted_sums, quotas, side="left")
-    omega = sums.size - pos
-    return omega, suffix[pos]
+def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True):
+    """Winning-coalition counts at every level of a strictly increasing grid,
+    for each game (column) of a ``_full_sums`` table.
+
+    A coalition wins at level g exactly when g is below its bin,
+    searchsorted(levels, sum, "right"), so one binning, one bincount per
+    game (and per player over that player's masks) and suffix sums over the
+    bins give every count at once.  Returns int64 ``omega`` of shape
+    (levels, *games) and, if ``members``, ``member`` of shape
+    (levels, n, *games).  A table passed as a temporary is freed once binned.
+    """
+    rows, columns = sums.shape[0], sums.shape[1:]
+    n = rows.bit_length() - 1
+    cols = math.prod(columns)
+    # key = bin * cols + column: one bincount covers every game's bins
+    keys = np.searchsorted(levels, sums, side="right").reshape(rows, cols)
+    del sums
+    keys *= cols
+    keys += np.arange(cols)
+    bins = levels.size + 1
+
+    def histogram(selected):
+        return np.bincount(selected.ravel(), minlength=bins * cols).reshape(bins, cols)
+
+    def wins_above(hist):
+        # Suffix sums in place: row b becomes the count of bins >= b, so
+        # row g of hist[1:] counts the coalitions that win at level g.
+        # cumsum pays per column and a row loop per row: take the cheaper.
+        if hist[0].size < bins:
+            np.cumsum(hist[::-1], axis=0, out=hist[::-1])
+        else:
+            for b in range(bins - 2, 0, -1):
+                hist[b] += hist[b + 1]
+        return hist[1:]
+
+    omega = wins_above(histogram(keys)).reshape((levels.size,) + columns)
+    if not members:
+        return omega, None
+    hist = np.empty((bins, n, cols), dtype=np.int64)
+    for i in range(n):
+        hist[:, i] = histogram(keys.reshape(-1, 2, cols << i)[:, 1])
+    del keys
+    return omega, wins_above(hist).reshape((levels.size, n) + columns)
 
 
 def fixed_weight_quota_curve(weights, statistic: str = "beta") -> StepCurve:
@@ -408,10 +447,9 @@ def fixed_weight_quota_curve(weights, statistic: str = "beta") -> StepCurve:
     n = w.size
     if n > CURVE_BUDGET:
         raise BudgetExceededError(f"quota curves support n <= {CURVE_BUDGET}")
-    game = VotingGame(w, 1.0)
-    sums = _full_sums(game)
+    sums = _full_sums(w)
     breakpoints = np.unique(sums[(sums > 0.5) & (sums <= 1.0)])
-    omega, member = _counts_for_quotas(sums, n, breakpoints)
+    omega, member = _winning_counts(sums, breakpoints)
     pieces = []
     for i in range(breakpoints.size):
         profile = _profile_from_counts(n, int(omega[i]), member[i])

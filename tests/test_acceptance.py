@@ -19,7 +19,7 @@ from scipy.stats import chi2, ks_2samp
 import votepower as vp
 from votepower.analytic import _poly_eval
 from votepower.experiments import CLASS_COUNT_CEILINGS
-from votepower.games import _counts_for_quotas, _full_sums
+from votepower.games import _full_sums, _winning_counts
 
 
 @contextmanager
@@ -123,7 +123,7 @@ def test_c05_index_kernels():
             n = int(rng.integers(1, 17))
             w = vp.sample_uniform_simplex(n, vp.RandomSeed(7000, trial))
             game = vp.VotingGame(w, 1.0)
-            omega_naive, member_naive = _counts_for_quotas(_full_sums(game), n, quotas)
+            omega_naive, member_naive = _winning_counts(_full_sums(game.weights), quotas)
             for j, q in enumerate(quotas):
                 omega_mitm, member_mitm = vp.count_winning_mitm(vp.VotingGame(w, q))
                 assert omega_mitm == omega_naive[j]

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import votepower
 from votepower.cli import main
 
 
@@ -139,6 +142,20 @@ class TestExitCodes:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy(self):
+        package_root = str(Path(votepower.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, votepower.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDeterminismAndRoundTrip:

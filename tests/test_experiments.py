@@ -7,6 +7,8 @@ import pytest
 from votepower import (
     BudgetExceededError,
     InvalidArgumentsError,
+    VotingGame,
+    banzhaf,
     count_extrema,
     default_quota_grid,
     discover_classes,
@@ -19,7 +21,8 @@ from votepower import (
     mc_hoeffding_curve,
     mc_power_curve,
 )
-from votepower.experiments import CLASS_COUNT_CEILINGS, QuotaCurve
+from votepower import games
+from votepower.experiments import CLASS_COUNT_CEILINGS, QuotaCurve, _sorted_weight_chunk
 
 
 class TestQuotaGrid:
@@ -100,6 +103,26 @@ class TestColemanCurve:
         coleman = mc_coleman_curve(5, grid, samples=2 ** 12, seed=4)
         bound = mc_hoeffding_curve(5, grid, samples=2 ** 12, seed=4)
         assert np.all(coleman.mean <= bound.mean + 1e-12)
+
+
+class TestMonteCarloAtTies:
+    """With one sample and that sample's own coalition sums as the grid,
+    every quota is a tie for some coalition, and each estimator must give
+    the exact profile of the game it drew, bit for bit."""
+
+    @pytest.mark.parametrize("n,seed", [(6, 2), (6, 5), (10, 3)])
+    def test_one_sample_equals_banzhaf(self, n, seed):
+        w = _sorted_weight_chunk(n, seed, 0, 1)[0]
+        sums = games._full_sums(w)
+        grid = np.unique(sums[(sums > 0.5) & (sums <= 1.0)])
+        beta = mc_power_curve(n, grid, samples=1, seed=seed)
+        psi = mc_power_curve(n, grid, samples=1, seed=seed, statistic="psi")
+        coleman = mc_coleman_curve(n, grid, samples=1, seed=seed)
+        for g, q in enumerate(grid):
+            profile = banzhaf(VotingGame(w, q))
+            assert np.array_equal([c.mean[g] for c in beta], np.sort(profile.beta)[::-1])
+            assert np.array_equal([c.mean[g] for c in psi], np.sort(profile.psi)[::-1])
+            assert coleman.mean[g] == profile.coleman
 
 
 class TestDiscoverClasses:

@@ -212,6 +212,12 @@ class TestDummies:
     def test_symmetric_none(self):
         assert dummies(game([0.25] * 4, 0.6)) == frozenset()
 
+    @given(st.integers(2, 12), st.integers(0, 10 ** 6), st.floats(0.501, 0.999))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_swing_players_of_banzhaf(self, n, seed, quota):
+        g = VotingGame(sample_uniform_simplex(n, RandomSeed(seed)), quota)
+        assert dummies(g) == set(np.flatnonzero(banzhaf(g).psi == 0).tolist())
+
 
 class TestHoeffdingBound:
     def test_spec_value(self):
