@@ -2,13 +2,12 @@
 
 Exact Penrose-Banzhaf and Coleman indices for fixed games, closed-form
 distributions and moments of simplex-uniform random weights, small-n
-expected-power curves, characteristic-function inversion of the expected
-Coleman index, and reproducible Monte Carlo estimators.
+expected-power curves, the expected Coleman index as an exact mixture over
+coalition sizes, and reproducible Monte Carlo estimators.
 """
 
 from .analytic import (
     ClassTable,
-    ColemanCurveSpec,
     Extremum,
     GameClassInfo,
     PiecewisePolynomialCurve,

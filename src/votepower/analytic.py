@@ -14,9 +14,10 @@ derivative of these exact quadratics).
 
 The Coleman side works with Z = (weight of a uniformly random coalition)
 - 1/2 under the product of the simplex and fair-coin measures.  Its
-characteristic function is an even entire series (a 1F2 hypergeometric);
-the expected Coleman index is 1 - F_Z(q - 1/2), recovered from the
-characteristic function by a sine-transform inversion.
+characteristic function is an even entire series (a 1F2 hypergeometric).
+The expected Coleman index P[Z >= q - 1/2] is the closed-form mixture over
+coalition sizes, E[C] = 2^-n (1 + sum_m C(n, m) P[Beta(m, n-m) >= q]),
+evaluated as an all-positive binomial sum for 1 <= n <= 1000.
 """
 
 from __future__ import annotations
@@ -27,7 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceFailureError, InvalidArgumentsError
+from .errors import (
+    AccuracyUnsupportedError,
+    ConvergenceFailureError,
+    InvalidArgumentsError,
+)
 
 # --------------------------------------------------------------------------
 # small exact-polynomial helpers (coefficients ascending, Fraction-valued)
@@ -379,112 +384,58 @@ def _cf_continuous(n: int, t: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# expected Coleman index by inversion
+# expected Coleman index: the coalition-size Beta mixture
 
-@dataclass(frozen=True)
-class ColemanCurveSpec:
-    """How to evaluate an expected-Coleman curve."""
-
-    method: str = "inversion"  # inversion | normal | hoeffding-bound
-    integration_tolerance: float = 1e-7
-    max_frequency: float = 2.0 ** 22
-
-    def __post_init__(self):
-        if self.method not in ("inversion", "normal", "hoeffding-bound"):
-            raise InvalidArgumentsError(f"unknown method {self.method!r}")
-        if self.integration_tolerance <= 0:
-            raise InvalidArgumentsError("integration tolerance must be positive")
+COLEMAN_N_MAX = 1000
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_PANEL_WIDTH = 2.0
-_NODE_BLOCK = 1 << 16
+def _mixture_log_weights(n: int) -> np.ndarray:
+    """log(C(n-1, j) 2^-n sum_{j<m<n} C(n, m)) for j = 0 .. n-2.
 
-
-def _edge_jump(n: int) -> float:
-    """Density of the continuous part of Z at its support edges +-1/2."""
-    return 2.0 ** (-n) * n * (n - 1)
-
-
-def _sine_integral(n: int, x: float, lo: float, hi: float) -> float:
-    """int_lo^hi sin(t x) r(t) / t dt on fixed Gauss-Legendre panels, where
-    r(t) = cf_cont(t) - 2 gamma sin(t/2) / t is the continuous CF with its
-    leading edge-jump oscillation removed (gamma = density at the edges).
-
-    r decays like t^-2, so the integrand is O(t^-3) even where sin(t x)
-    resonates with the edge frequency; the subtracted term is restored in
-    closed form by the caller.  Frequencies stay below 1, so 16-point
-    panels of width 2 resolve the oscillation to machine accuracy and only
-    the truncation point matters for the error.
+    Each weight is an exact integer ratio rounded once, then logged.
     """
-    gamma = _edge_jump(n)
-    panels = max(1, int(math.ceil((hi - lo) / _PANEL_WIDTH)))
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).reshape(-1)
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).reshape(-1)
-    total = 0.0
-    for start in range(0, nodes.size, _NODE_BLOCK):
-        ts = nodes[start:start + _NODE_BLOCK]
-        ws = weights[start:start + _NODE_BLOCK]
-        reduced = _cf_continuous(n, ts) - 2.0 * gamma * np.sin(0.5 * ts) / ts
-        vals = np.sin(ts * x) * reduced / ts
-        total += float(np.dot(ws, vals))
-    return total
+    out = np.empty(n - 1)
+    scale = 1 << n
+    pmf_comb = 1   # C(n-1, j)
+    size_comb = 1  # C(n, j)
+    tail = scale - 2  # sum_{j<m<n} C(n, m)
+    for j in range(n - 1):
+        if j:
+            pmf_comb = pmf_comb * (n - j) // j
+            size_comb = size_comb * (n - j + 1) // j
+            tail -= size_comb
+        out[j] = math.log(pmf_comb * tail / scale)
+    return out
 
 
-def expected_coleman(
-    n: int,
-    q: float,
-    *,
-    integration_tolerance: float = 1e-7,
-    max_frequency: float = 2.0 ** 22,
-) -> float:
+def expected_coleman(n: int, q: float) -> float:
     """Expected Coleman index of an n-player game with uniform random weights.
 
-    Computed as 1 - F_Z(q - 1/2), where Z is the centered weight of a
-    random coalition and F at a continuity point x in (0, 1/2) equals
-    1/2 + (1/pi) int_0^inf sin(t x) cf(t) / t dt.  Two pieces of the CF
-    integrate in closed form and are handled exactly rather than
-    numerically: the atom part 2^{1-n} cos(t/2) contributes zero for
-    x < 1/2, and the edge-jump part 2 gamma sin(t/2) / t contributes
-    gamma x (via int_0^inf sin(ax) sin(bx) / x^2 = pi min(a, b) / 2).
-    What remains decays fast enough that the quadrature horizon, doubled
-    until two successive results agree within the tolerance, stays small
-    even as q approaches 1.  q = 1 hits the atom itself and returns 2^-n
-    directly.
+    A coalition of m of the n players (0 < m < n) has Beta(m, n-m) total
+    weight under the uniform simplex law, so
+    E[C] = 2^-n (1 + sum_m C(n, m) P[Beta(m, n-m) >= q]), and for integer
+    parameters P[Beta(m, n-m) >= q] = P[Bin(n-1, q) <= m-1].  Grouped by the
+    binomial outcome j this is the all-positive sum
+    2^-n + sum_{j<n-1} P[Bin(n-1, q) = j] 2^-n sum_{j<m<n} C(n, m).
+    Each term is exp of its exact integer weight's log plus
+    j log q + (n-1-j) log(1-q), so nothing cancels: values down to 2^-n keep
+    full relative accuracy.  Validated for n <= COLEMAN_N_MAX (2^-n
+    underflows past n = 1074); q = 1 leaves only the grand coalition, 2^-n.
     """
     if n < 1:
         raise InvalidArgumentsError("player count must be at least 1")
+    if n > COLEMAN_N_MAX:
+        raise AccuracyUnsupportedError(
+            f"the expected Coleman index is validated for n <= {COLEMAN_N_MAX}"
+        )
     q = float(q)
     if not (0.5 < q <= 1.0):
         raise InvalidArgumentsError("quota must lie in (1/2, 1]")
-    if integration_tolerance <= 0:
-        raise InvalidArgumentsError("integration tolerance must be positive")
     if q == 1.0:
         return 2.0 ** (-n)
-    if n == 1:
-        return 0.5
-    x = q - 0.5
-    base = 0.5 - _edge_jump(n) * x
-    horizon = 256.0
-    integral = _sine_integral(n, x, 0.0, horizon)
-    while True:
-        tail = _sine_integral(n, x, horizon, 2.0 * horizon)
-        integral += tail
-        horizon *= 2.0
-        if horizon >= 1024.0 and abs(tail) < integration_tolerance:
-            break
-        if horizon > max_frequency:
-            raise ConvergenceFailureError(
-                f"inversion did not stabilize below frequency {max_frequency:g}",
-                estimates=(
-                    base - (integral - tail) / math.pi,
-                    base - integral / math.pi,
-                ),
-            )
-    return base - integral / math.pi
+    j = np.arange(n - 1)
+    exponents = _mixture_log_weights(n) + j * math.log(q) + (n - 1 - j) * math.log1p(-q)
+    return math.fsum([2.0 ** (-n), *np.exp(exponents)])
 
 
 def expected_coleman_normal(n: int, q: float) -> float:
@@ -498,18 +449,12 @@ def expected_coleman_normal(n: int, q: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def coleman_error_ratio(
-    n: int,
-    y: float,
-    *,
-    integration_tolerance: float = 1e-8,
-    max_frequency: float = 2.0 ** 22,
-) -> float:
+def coleman_error_ratio(n: int, y: float) -> float:
     """Ratio of the normal-approximation quota to the exact-curve quota at
     a target expected Coleman value y.
 
     The numerator solves the normal approximation in closed form via the
-    inverse normal CDF; the denominator inverts the inversion-based curve
+    inverse normal CDF; the denominator inverts the exact mixture curve
     by bracketed root finding (the curve is strictly decreasing in q).
     """
     if n < 1:
@@ -526,15 +471,7 @@ def coleman_error_ratio(
     q_normal = 0.5 + float(ndtri(1.0 - y)) / math.sqrt(2.0 * (n + 1))
 
     def objective(q: float) -> float:
-        return (
-            expected_coleman(
-                n,
-                q,
-                integration_tolerance=integration_tolerance,
-                max_frequency=max_frequency,
-            )
-            - y
-        )
+        return expected_coleman(n, q) - y
 
     lo, hi = 0.5 + 1e-9, 1.0 - 1e-9
     f_hi = objective(hi)

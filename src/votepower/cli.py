@@ -237,15 +237,7 @@ def _cmd_coleman_curve(args):
     else:
         grid = _quota_grid_from_args(args)
     if args.method == "inversion":
-        values = [
-            analytic.expected_coleman(
-                args.n,
-                float(q),
-                integration_tolerance=args.tolerance,
-                max_frequency=args.max_frequency,
-            )
-            for q in grid
-        ]
+        values = [analytic.expected_coleman(args.n, float(q)) for q in grid]
         rows = [(float(q), "coleman", v, 0.0, 0) for q, v in zip(grid, values)]
         curves = [("coleman_inversion", grid, np.array(values))]
     elif args.method == "normal":
@@ -481,12 +473,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         "--method",
         choices=("inversion", "normal", "mc", "hoeffding-bound"),
         default="inversion",
+        help="inversion: the exact closed-form mixture over coalition sizes, "
+        "n <= 1000 (the name is kept for compatibility); normal: the "
+        "central-limit approximation; mc: Monte Carlo; hoeffding-bound: "
+        "Monte Carlo mean of the Hoeffding bound",
     )
     sub.add_argument("--quota", type=float, help="single quota; prints one value")
     sub.add_argument("--quotas", help="comma-separated quota grid")
     sub.add_argument("--samples", type=int, default=65536)
-    sub.add_argument("--tolerance", type=float, default=1e-7)
-    sub.add_argument("--max-frequency", type=float, default=2.0 ** 22)
     sub.add_argument("--workers", type=int, default=None)
     sub.add_argument("--plot")
     _add_seed_args(sub)

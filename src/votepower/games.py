@@ -439,7 +439,7 @@ def fixed_weight_quota_curve(weights, statistic: str = "beta") -> StepCurve:
 
     Breakpoints are the distinct coalition weights inside (1/2, 1]; the
     requested functional (beta, psi, or coleman) is evaluated once per
-    piece at its right endpoint.
+    piece at its right endpoint, for all pieces at once.
     """
     if statistic not in ("beta", "psi", "coleman"):
         raise InvalidArgumentsError(f"unknown statistic {statistic!r}")
@@ -449,17 +449,17 @@ def fixed_weight_quota_curve(weights, statistic: str = "beta") -> StepCurve:
         raise BudgetExceededError(f"quota curves support n <= {CURVE_BUDGET}")
     sums = _full_sums(w)
     breakpoints = np.unique(sums[(sums > 0.5) & (sums <= 1.0)])
-    omega, member = _winning_counts(sums, breakpoints)
-    pieces = []
-    for i in range(breakpoints.size):
-        profile = _profile_from_counts(n, int(omega[i]), member[i])
-        if statistic == "beta":
-            pieces.append(profile.beta)
-        elif statistic == "psi":
-            pieces.append(profile.psi)
+    omega, member = _winning_counts(sums, breakpoints, members=statistic != "coleman")
+    # Every breakpoint at once, with _profile_from_counts' arithmetic.
+    if statistic == "coleman":
+        values = omega / float(2 ** n)
+    else:
+        swing = 2 * member - omega[:, None]
+        if statistic == "psi":
+            values = swing / float(2 ** (n - 1))
         else:
-            pieces.append(profile.coleman)
-    values = np.array(pieces)
+            denom = swing.sum(axis=1, keepdims=True)
+            values = np.divide(swing, denom, out=np.zeros(swing.shape), where=denom > 0)
     values.setflags(write=False)
     breakpoints.setflags(write=False)
     return StepCurve(breakpoints=breakpoints, values=values, statistic=statistic)

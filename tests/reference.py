@@ -6,6 +6,7 @@ identities, quadrature) so that agreement is evidence, not tautology.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -57,6 +58,22 @@ def coleman_beta_mixture(n, q):
     for m in range(1, n):
         total += math.comb(n, m) * (1.0 - betainc(m, n - m, q))
     return total / 2.0 ** n
+
+
+def coleman_mixture_exact(n, q):
+    """The same mixture in exact rational arithmetic, rounded once: with
+    q = a/d, d^(n-1) P(Bin(n-1, q) = j) = C(n-1, j) a^j (d-a)^(n-1-j) is an
+    integer, and P(Beta(m, n-m) >= q) = P(Bin(n-1, q) <= m-1) is summed per
+    coalition size m."""
+    q = Fraction(q)
+    a, d = q.numerator, q.denominator
+    pmf = [math.comb(n - 1, j) * a ** j * (d - a) ** (n - 1 - j) for j in range(n)]
+    total = d ** (n - 1)  # the grand coalition
+    cdf = 0
+    for m in range(1, n):
+        cdf += pmf[m - 1]
+        total += math.comb(n, m) * cdf
+    return total / (2 ** n * d ** (n - 1))  # one correctly rounded division
 
 
 def product_moment_quadrature(exponents, points=4001):

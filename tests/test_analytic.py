@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm
 
 from votepower import (
-    ColemanCurveSpec,
+    AccuracyUnsupportedError,
     ConvergenceFailureError,
     InvalidArgumentsError,
     RandomSeed,
@@ -223,9 +223,26 @@ class TestExpectedColeman:
     @pytest.mark.parametrize("n", [2, 3, 6, 9, 12])
     def test_against_beta_mixture_identity(self, n):
         for q in (0.52, 0.6, 0.7, 0.85, 0.98):
-            assert expected_coleman(
-                n, q, integration_tolerance=1e-8
-            ) == pytest.approx(reference.coleman_beta_mixture(n, q), abs=1e-7)
+            assert expected_coleman(n, q) == pytest.approx(
+                reference.coleman_beta_mixture(n, q), abs=1e-7
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 30, 40, 200])
+    def test_against_exact_mixture(self, n):
+        for q in (0.5 + 1e-9, 0.6, 0.9, 0.99, 0.999):
+            exact = reference.coleman_mixture_exact(n, q)
+            got = expected_coleman(n, q)
+            assert got > 0.0
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0), (n, q)
+
+    @pytest.mark.parametrize("q", [0.75, 0.999])
+    def test_validated_range_edge(self, q):
+        exact = reference.coleman_mixture_exact(1000, q)
+        assert expected_coleman(1000, q) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_beyond_validated_range(self):
+        with pytest.raises(AccuracyUnsupportedError):
+            expected_coleman(1001, 0.75)
 
     def test_decreasing_in_quota(self):
         values = [expected_coleman(6, q) for q in np.linspace(0.51, 0.99, 25)]
@@ -239,19 +256,6 @@ class TestExpectedColeman:
         bound = mc_hoeffding_curve(6, grid, samples=2 ** 14, seed=3)
         for q, b, s in zip(grid, bound.mean, bound.stderr):
             assert expected_coleman(6, float(q)) <= b + 3 * s
-
-    def test_convergence_error_carries_estimates(self):
-        with pytest.raises(ConvergenceFailureError) as info:
-            expected_coleman(6, 0.51, integration_tolerance=1e-15, max_frequency=600)
-        assert info.value.estimates is not None
-        a, b = info.value.estimates
-        assert abs(a - b) < 1e-3
-
-    def test_spec_dataclass_validation(self):
-        with pytest.raises(InvalidArgumentsError):
-            ColemanCurveSpec(method="fft")
-        spec = ColemanCurveSpec()
-        assert spec.method == "inversion"
 
 
 class TestExpectedColemanNormal:
@@ -293,9 +297,7 @@ class TestColemanErrorRatio:
             ratio = coleman_error_ratio(6, y)
             q_norm = 0.5 + float(ndtri(1 - y)) / math.sqrt(14.0)
             q_exact = q_norm / ratio
-            assert expected_coleman(
-                6, q_exact, integration_tolerance=1e-8
-            ) == pytest.approx(y, abs=1e-6)
+            assert expected_coleman(6, q_exact) == pytest.approx(y, abs=1e-6)
 
     def test_monotone_in_target(self):
         from scipy.special import ndtri

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import votepower
+from votepower import ConvergenceFailureError, analytic
 from votepower.cli import main
 
 
@@ -119,14 +120,12 @@ class TestExitCodes:
         assert code == 4
         assert "BudgetExceededError" in err
 
-    def test_convergence_error(self, capsys):
-        code, _, err = run_cli(
-            [
-                "coleman-curve", "--n", "6", "--quota", "0.51",
-                "--tolerance", "1e-15", "--max-frequency", "600",
-            ],
-            capsys,
-        )
+    def test_convergence_error(self, capsys, monkeypatch):
+        def stalled(n, q):
+            raise ConvergenceFailureError("no convergence")
+
+        monkeypatch.setattr(analytic, "expected_coleman", stalled)
+        code, _, err = run_cli(["coleman-curve", "--n", "6", "--quota", "0.51"], capsys)
         assert code == 3
         assert "ConvergenceFailureError" in err
 
@@ -144,18 +143,31 @@ class TestExitCodes:
         assert proc.returncode == 2
 
 
+def fresh_interpreter(code):
+    """Run ``code`` in a new Python process that imports this votepower."""
+    package_root = str(Path(votepower.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 class TestImport:
     def test_cli_import_does_not_load_scipy(self):
-        package_root = str(Path(votepower.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, votepower.cli; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
+        proc = fresh_interpreter("import sys, votepower.cli; print('scipy' in sys.modules)")
         assert proc.stdout.strip() == "False"
+
+    def test_inversion_curve_does_not_load_scipy(self):
+        proc = fresh_interpreter(
+            "import sys; from votepower.cli import main; "
+            "code = main(['coleman-curve', '--n', '12', '--method', 'inversion']); "
+            "print(code, 'scipy' in sys.modules, file=sys.stderr)"
+        )
+        assert proc.stdout.startswith("quota,series-name,")
+        assert proc.stderr.strip() == "0 False"
 
 
 class TestDeterminismAndRoundTrip:
