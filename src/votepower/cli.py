@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric convergence failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -36,19 +37,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(args, header, rows):
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+@contextlib.contextmanager
+def _output(args):
+    """The open --output file, or whatever sys.stdout is at call time."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write_json(args, payload):
+    with _output(args) as out:
+        out.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _write_table(args, header, rows):
+    if args.format == "json":
+        _write_json(args, [dict(zip(header, row)) for row in rows])
+        return
+    with _output(args) as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -190,12 +200,7 @@ def _cmd_indices(args):
         ]
         _write_table(args, ("player", "psi", "beta", "member-count"), rows)
     else:
-        text = json.dumps(payload, indent=2) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_json(args, payload)
     return 0
 
 
@@ -308,12 +313,7 @@ def _cmd_spline_fit(args):
         "piece_coefficients": [list(p) for p in fit.piece_coefficients],
         "max_residual": fit.max_residual,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(args, payload)
     return 0
 
 
@@ -558,9 +558,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "workers", None) is None:
-        args.workers = int(os.environ.get("VOTEPOWER_WORKERS", "1"))
     try:
+        if "workers" in args and args.workers is None:
+            args.workers = int(os.environ.get("VOTEPOWER_WORKERS", "1"))
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -184,6 +184,8 @@ def _mc_curves(n, quotas, samples, seed, workers, values, names, method="mc"):
         raise BudgetExceededError(
             f"vectorized Monte Carlo supports n <= {MC_KERNEL_BUDGET}"
         )
+    if workers < 1:
+        raise InvalidArgumentsError("worker count must be at least 1")
     grid = _validate_grid(default_quota_grid() if quotas is None else quotas)
     base = as_seed(seed)
 

@@ -170,24 +170,6 @@ def is_winning(game: VotingGame, coalition: int) -> bool:
     return part_a + part_b >= game.quota
 
 
-def _count_ge(sorted_vals: np.ndarray, bases: np.ndarray, quota: float) -> np.ndarray:
-    """For each base, count sorted values v with fl(base + v) >= quota.
-
-    Bulk counting uses a binary search against quota - base; values inside
-    a small window around that boundary are re-tested with the defining
-    float predicate, so the result matches elementwise evaluation exactly.
-    """
-    thresholds = quota - bases
-    low = np.searchsorted(sorted_vals, thresholds - _TIE_WINDOW, side="left")
-    high = np.searchsorted(sorted_vals, thresholds + _TIE_WINDOW, side="right")
-    counts = sorted_vals.size - high
-    suspect = np.flatnonzero(high > low)
-    for idx in suspect:
-        window = sorted_vals[low[idx]:high[idx]]
-        counts[idx] += int(np.count_nonzero(bases[idx] + window >= quota))
-    return counts
-
-
 def _mask_has_bit(size_bits: int, bit: int) -> np.ndarray:
     return (np.arange(1 << size_bits, dtype=np.uint32) >> bit & 1).astype(bool)
 
@@ -245,43 +227,57 @@ def count_winning_naive(game: VotingGame) -> tuple[int, np.ndarray]:
     return omega, member
 
 
+def _member_sums(per_mask: np.ndarray) -> list[int]:
+    """For each bit i of the mask index, the sum of the per-mask counts over
+    the masks with bit i set."""
+    bits = per_mask.size.bit_length() - 1
+    return [int(per_mask.reshape(-1, 2, 1 << i)[:, 1].sum()) for i in range(bits)]
+
+
 def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     """Meet-in-the-middle winning counts, O(2^(n/2) n) time.  n <= 48.
 
-    Output is identical to count_winning_naive wherever both run: the
-    kernels share the same coalition-weight arithmetic, and boundary
-    candidates are double-checked against the defining predicate.
+    The B-half sums are sorted once; one search per A sum finds the first
+    sorted B position that wins against it.  Float searches go against
+    q - a, and candidates within a small window of that boundary are
+    re-checked with the defining predicate fl(a + b) >= q, which is
+    monotone in b, so the re-checked boundary is exact.  Wins per A mask
+    are the B positions from there on; wins per B mask are the A sums
+    whose boundary lies at or below it, so one histogram of the
+    boundaries credits both halves.  Output is identical to
+    count_winning_naive: the kernels share one coalition-weight arithmetic.
     """
     n = game.n
     if n > MITM_BUDGET:
         raise BudgetExceededError(f"meet-in-the-middle supports n <= {MITM_BUDGET}")
-    h, r = _half_sizes(n)
     sa, sb = _split_sums(_kernel_weights(game))
-
+    order = np.argsort(sb, kind="stable")
+    sorted_b = sb[order]
     if game.exact:
         target, den = _winning_threshold(game)
-        sb_scaled = np.sort(den * sb)
-        sb_by_player = [np.sort(den * sb[_mask_has_bit(r, j)]) for j in range(r)]
-
-        def count_against(sorted_vals, bases):
-            return sorted_vals.size - np.searchsorted(
-                sorted_vals, target - den * bases, side="left"
-            )
+        first = np.searchsorted(den * sorted_b, target - den * sa, side="left")
     else:
         quota = game.quota
-        sb_scaled = np.sort(sb)
-        sb_by_player = [np.sort(sb[_mask_has_bit(r, j)]) for j in range(r)]
+        thresholds = quota - sa
+        first = np.searchsorted(sorted_b, thresholds - _TIE_WINDOW, side="left")
+        high = np.searchsorted(sorted_b, thresholds + _TIE_WINDOW, side="right")
+        # Bisect each window for its first winner, all windows at once.
+        open_ = np.flatnonzero(first < high)
+        lo, hi = first[open_], high[open_]
+        while open_.size:
+            mid = (lo + hi) // 2
+            wins = sa[open_] + sorted_b[mid] >= quota
+            hi = np.where(wins, mid, hi)
+            lo = np.where(wins, lo, mid + 1)
+            done = lo == hi
+            first[open_[done]] = lo[done]
+            open_, lo, hi = open_[~done], lo[~done], hi[~done]
 
-        def count_against(sorted_vals, bases):
-            return _count_ge(sorted_vals, bases, quota)
-
-    per_a = count_against(sb_scaled, sa)
+    per_a = sb.size - first
+    per_b = np.empty(sb.size, dtype=np.int64)
+    per_b[order] = np.cumsum(np.bincount(first, minlength=sb.size + 1))[:-1]
     omega = int(per_a.sum())
-    member = np.empty(n, dtype=np.int64)
-    for i in range(h):
-        member[i] = int(per_a[_mask_has_bit(h, i)].sum())
-    for j in range(r):
-        member[h + j] = int(count_against(sb_by_player[j], sa).sum())
+    member = np.array(_member_sums(per_a) + _member_sums(per_b), dtype=np.int64)
 
     if not game.exact:
         # The grand coalition's weight is 1.0 by definition; adjust if the
@@ -312,12 +308,9 @@ def _profile_from_counts(n: int, omega: int, member: np.ndarray) -> PowerProfile
 
 
 def banzhaf(game: VotingGame) -> PowerProfile:
-    """Exact Penrose-Banzhaf profile; enumerates for n <= 20, meets in the
-    middle beyond."""
-    if game.n <= 20:
-        omega, member = count_winning_naive(game)
-    else:
-        omega, member = count_winning_mitm(game)
+    """Exact Penrose-Banzhaf profile, n <= 48, from the meet-in-the-middle
+    counts at every n; count_winning_naive is the enumeration reference."""
+    omega, member = count_winning_mitm(game)
     return _profile_from_counts(game.n, omega, member)
 
 

@@ -135,6 +135,27 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_unparsable_workers_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("VOTEPOWER_WORKERS", "two")
+        code, _, err = run_cli(
+            ["power-curve", "--n", "3", "--samples", "16", "--quotas", "0.6"], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        # Commands without a worker count do not read the variable.
+        code, _, _ = run_cli(["expected-weights", "--n", "3"], capsys)
+        assert code == 0
+
+    def test_negative_worker_count(self, capsys):
+        code, out, err = run_cli(
+            ["power-curve", "--n", "3", "--samples", "16", "--quotas", "0.6",
+             "--workers", "-3"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "InvalidArgumentsError" in err
+
     def test_unknown_flag(self):
         proc = subprocess.run(
             [sys.executable, "-m", "votepower.cli", "indices", "--bogus"],

@@ -28,6 +28,14 @@ def game(weights, quota):
     return VotingGame(np.asarray(weights, dtype=float), quota)
 
 
+def dyadic_weights(n):
+    """n unequal multiples of 1/64 summing to 1 (n <= 32): every coalition
+    sum is exact, and many coincide."""
+    units = [1 + i % 3 for i in range(n - 1)]
+    units.append(64 - sum(units))
+    return [u / 64 for u in units]
+
+
 class TestVotingGame:
     def test_quota_range(self):
         with pytest.raises(InvalidArgumentsError):
@@ -107,6 +115,43 @@ class TestCounting:
         assert count_winning_naive(g)[0] == count_winning_mitm(g)[0]
         na, nb = count_winning_naive(g), count_winning_mitm(g)
         assert na[1].tolist() == nb[1].tolist()
+
+    @pytest.mark.parametrize(
+        "weights, quota",
+        [
+            pytest.param(dyadic_weights(16), 0.75, id="n16-dyadic"),
+            pytest.param(dyadic_weights(20), 0.625, id="n20-dyadic"),
+            pytest.param(dyadic_weights(24), 0.8125, id="n24-dyadic"),
+            pytest.param([1 / 16] * 16, 0.75, id="n16-equal"),
+            pytest.param([1 / 20] * 20, 0.55, id="n20-equal"),
+            pytest.param([1 / 24] * 24, 0.75, id="n24-equal"),
+        ],
+    )
+    def test_mitm_matches_naive_on_tie_heavy_games(self, weights, quota):
+        # The quota equals a coalition sum, so many A sums meet a run of
+        # equal B sums right at the boundary: both halves' tie credit counts.
+        from votepower.games import _full_sums
+
+        g = game(weights, quota)
+        assert quota in _full_sums(g.weights)
+        na, nb = count_winning_naive(g), count_winning_mitm(g)
+        assert na[0] == nb[0]
+        assert na[1].tolist() == nb[1].tolist()
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(game([1 / 32] * 32, 0.75), id="n32-dyadic"),
+            pytest.param(VotingGame.from_integers([1] * 40, 3, 5), id="n40-exact"),
+        ],
+    )
+    def test_mitm_equal_weights_closed_form(self, g):
+        # m* = 24 members reach the quota in both games.
+        n, smallest = g.n, 24
+        omega, member = count_winning_mitm(g)
+        assert omega == sum(math.comb(n, m) for m in range(smallest, n + 1))
+        expected = sum(math.comb(n - 1, m - 1) for m in range(smallest, n + 1))
+        assert member.tolist() == [expected] * n
 
     def test_mitm_dictator_large(self):
         w = np.zeros(20)
