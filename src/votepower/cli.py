@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from . import analytic, experiments, games, simplex, weightdist
 from .errors import (
     BudgetExceededError,
     ConvergenceFailureError,
+    InvalidArgumentsError,
     VotePowerError,
 )
 from .svgplot import emit_plot
@@ -35,6 +37,32 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
+
+
+def _float_text(values: np.ndarray) -> list[str]:
+    """``format(v, ".17g")`` of every value; a run of neighbours with equal
+    bits is formatted once.  Bits, not values, so -0.0 after 0.0 is not
+    merged.  ``"%.17g" %`` gives the same text as ``format``, faster.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits = values.view(np.int64)
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    text = np.array(list(map("%.17g".__mod__, values[starts].tolist())), dtype=object)
+    return text[np.cumsum(starts) - 1].tolist()
+
+
+def _column_text(column, start: int, stop: int):
+    """CSV text of rows [start, stop) of one ``_write_table`` column."""
+    if isinstance(column, list):
+        return column[start:stop]
+    if not isinstance(column, np.ndarray):
+        return itertools.repeat(_fmt(column))
+    part = column[start:stop]
+    if part.dtype.kind == "f":
+        return _float_text(part)
+    return map(str, part.tolist())
 
 
 @contextlib.contextmanager
@@ -52,13 +80,32 @@ def _write_json(args, payload):
         out.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_table(args, header, rows):
+_TABLE_BLOCK = 1 << 14  # CSV rows formatted per write, which bounds the text held
+
+
+def _write_table(args, header, columns):
+    """Write a table given column by column.
+
+    Each column is a numpy array, a list of strings, or a scalar that
+    repeats on every row.  CSV text is made one column and one block of
+    rows at a time and streamed; JSON rows hold the columns' Python values.
+    """
+    rows = next((len(c) for c in columns if isinstance(c, (np.ndarray, list))), 0)
     if args.format == "json":
-        _write_json(args, [dict(zip(header, row)) for row in rows])
+        values = [
+            c.tolist() if isinstance(c, np.ndarray)
+            else c if isinstance(c, list)
+            else itertools.repeat(c, rows)
+            for c in columns
+        ]
+        _write_json(args, [dict(zip(header, row)) for row in zip(*values)])
         return
     with _output(args) as out:
         out.write(",".join(header) + "\n")
-        out.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        for start in range(0, rows, _TABLE_BLOCK):
+            stop = start + _TABLE_BLOCK
+            texts = [_column_text(c, start, stop) for c in columns]
+            out.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -96,7 +143,7 @@ def _game_from_args(args) -> games.VotingGame:
 
 def _quota_grid_from_args(args) -> np.ndarray:
     if getattr(args, "quotas", None):
-        return np.array(_parse_floats(args.quotas))
+        return experiments._validate_grid(_parse_floats(args.quotas))
     return experiments.default_quota_grid()
 
 
@@ -123,6 +170,23 @@ def _step_series(curve: games.StepCurve):
     return out
 
 
+def _row_columns(rows):
+    """A small table's rows as ``_write_table`` columns: strings stay a
+    list, numbers become an array (every column holds one type)."""
+    return [list(c) if isinstance(c[0], str) else np.array(c) for c in zip(*rows)]
+
+
+def _quota_curve_columns(curves):
+    """The _CURVE_HEADER columns of Monte Carlo curves, one after another."""
+    return [
+        np.concatenate([c.quotas for c in curves]),
+        [c.name for c in curves for _ in range(c.quotas.size)],
+        np.concatenate([c.mean for c in curves]),
+        np.concatenate([c.stderr for c in curves]),
+        np.concatenate([c.samples for c in curves]),
+    ]
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -131,27 +195,28 @@ def _cmd_sample_weights(args):
         args.n, args.samples, simplex.RandomSeed(args.seed, args.stream)
     )
     header = tuple(f"w{i + 1}" for i in range(args.n))
-    _write_table(args, header, [tuple(float(x) for x in row) for row in draws])
+    _write_table(args, header, list(draws.T))
     return 0
 
 
 def _cmd_expected_weights(args):
-    rows = [
-        (k, weightdist.expected_ordered_weight(args.n, k))
-        for k in range(1, args.n + 1)
-    ]
-    _write_table(args, ("k", "expected"), rows)
+    values = weightdist.expected_ordered_weights(args.n)
+    _write_table(args, ("k", "expected"), [np.arange(1, args.n + 1), values])
     return 0
 
 
 def _cmd_weight_density(args):
+    if args.points < 1:
+        raise InvalidArgumentsError("--points must be at least 1")
     lo, hi = weightdist.ordered_weight_support(args.n, args.k)
     xs = np.linspace(lo, hi, args.points)
-    rows = [(float(x), weightdist.ordered_weight_density(args.n, args.k, float(x))) for x in xs]
-    _write_table(args, ("x", "density"), rows)
+    density = np.array(
+        [weightdist.ordered_weight_density(args.n, args.k, x) for x in xs.tolist()]
+    )
+    _write_table(args, ("x", "density"), [xs, density])
     _maybe_plot(
         args,
-        [(f"f_{args.n},{args.k}", xs, np.array([r[1] for r in rows]))],
+        [(f"f_{args.n},{args.k}", xs, density)],
         f"ordered-weight density, n={args.n} k={args.k}",
     )
     return 0
@@ -170,7 +235,7 @@ def _cmd_moments(args):
         rows.append(("sum_sq_variance", var))
     if not rows:
         raise argparse.ArgumentTypeError("pick at least one of --m, --power-sum, --sum-sq")
-    _write_table(args, ("quantity", "value"), rows)
+    _write_table(args, ("quantity", "value"), _row_columns(rows))
     return 0
 
 
@@ -194,11 +259,11 @@ def _cmd_indices(args):
         "optimal_quota_printed_exceeds_one": printed > 1.0,
     }
     if args.format == "csv":
-        rows = [
-            (i + 1, float(profile.psi[i]), float(profile.beta[i]), int(profile.member_counts[i]))
-            for i in range(game.n)
-        ]
-        _write_table(args, ("player", "psi", "beta", "member-count"), rows)
+        _write_table(
+            args,
+            ("player", "psi", "beta", "member-count"),
+            [np.arange(1, game.n + 1), profile.psi, profile.beta, profile.member_counts],
+        )
     else:
         _write_json(args, payload)
     return 0
@@ -207,7 +272,13 @@ def _cmd_indices(args):
 def _cmd_fixed_curve(args):
     weights = _weights_from_args(args)
     curve = games.fixed_weight_quota_curve(weights, args.functional)
-    _write_table(args, _CURVE_HEADER, curve.to_rows())
+    quotas, names = curve.breakpoints, curve.statistic
+    if curve.values.ndim == 2:  # beta and psi: one row per (breakpoint, player)
+        players = curve.values.shape[1]
+        quotas = np.repeat(quotas, players)
+        names = [f"{curve.statistic}_player_{p + 1}" for p in range(players)]
+        names *= curve.breakpoints.size
+    _write_table(args, _CURVE_HEADER, [quotas, names, curve.values.reshape(-1), 0.0, 0])
     _maybe_plot(
         args,
         _step_series(curve),
@@ -226,8 +297,7 @@ def _cmd_power_curve(args):
         statistic=args.statistic,
         workers=args.workers,
     )
-    rows = [row for curve in curves for row in curve.to_rows()]
-    _write_table(args, _CURVE_HEADER, rows)
+    _write_table(args, _CURVE_HEADER, _quota_curve_columns(curves))
     _maybe_plot(
         args,
         [(c.name, c.quotas, c.mean) for c in curves],
@@ -238,17 +308,17 @@ def _cmd_power_curve(args):
 
 def _cmd_coleman_curve(args):
     if args.quota is not None:
-        grid = np.array([args.quota])
+        grid = experiments._validate_grid([args.quota])
     else:
         grid = _quota_grid_from_args(args)
     if args.method == "inversion":
-        values = [analytic.expected_coleman(args.n, float(q)) for q in grid]
-        rows = [(float(q), "coleman", v, 0.0, 0) for q, v in zip(grid, values)]
-        curves = [("coleman_inversion", grid, np.array(values))]
+        values = np.array([analytic.expected_coleman(args.n, q) for q in grid.tolist()])
+        columns = [grid, "coleman", values, 0.0, 0]
+        curves = [("coleman_inversion", grid, values)]
     elif args.method == "normal":
-        values = [analytic.expected_coleman_normal(args.n, float(q)) for q in grid]
-        rows = [(float(q), "coleman_normal", v, 0.0, 0) for q, v in zip(grid, values)]
-        curves = [("coleman_normal", grid, np.array(values))]
+        values = np.array([analytic.expected_coleman_normal(args.n, q) for q in grid.tolist()])
+        columns = [grid, "coleman_normal", values, 0.0, 0]
+        curves = [("coleman_normal", grid, values)]
     elif args.method == "mc":
         curve = experiments.mc_coleman_curve(
             args.n,
@@ -257,9 +327,9 @@ def _cmd_coleman_curve(args):
             seed=simplex.RandomSeed(args.seed, args.stream),
             workers=args.workers,
         )
-        rows = curve.to_rows()
+        columns = _quota_curve_columns([curve])
         curves = [("coleman_mc", curve.quotas, curve.mean)]
-        values = list(curve.mean)
+        values = curve.mean
     elif args.method == "hoeffding-bound":
         curve = experiments.mc_hoeffding_curve(
             args.n,
@@ -268,15 +338,15 @@ def _cmd_coleman_curve(args):
             seed=simplex.RandomSeed(args.seed, args.stream),
             workers=args.workers,
         )
-        rows = curve.to_rows()
+        columns = _quota_curve_columns([curve])
         curves = [("hoeffding_bound", curve.quotas, curve.mean)]
-        values = list(curve.mean)
+        values = curve.mean
     else:
         raise argparse.ArgumentTypeError(f"unknown method {args.method!r}")
     if args.quota is not None and not args.output and args.format == "csv":
         sys.stdout.write(_fmt(float(values[0])) + "\n")
     else:
-        _write_table(args, _CURVE_HEADER, rows)
+        _write_table(args, _CURVE_HEADER, columns)
     caption = f"expected Coleman index, n={args.n} method={args.method}"
     if args.method in ("mc", "hoeffding-bound"):
         caption += f" seed={args.seed} samples={args.samples}"
@@ -292,7 +362,7 @@ def _cmd_classes(args):
         (idx, ";".join(_fmt(b) for b in cls.beta), cls.hits)
         for idx, cls in enumerate(catalog.classes)
     ]
-    _write_table(args, ("class-id", "beta-vector", "hit-count"), rows)
+    _write_table(args, ("class-id", "beta-vector", "hit-count"), _row_columns(rows))
     return 0
 
 
@@ -353,7 +423,7 @@ def _cmd_analytic(args):
             b1, b2 = analytic.expected_beta_n2(float(q))
             rows.append((float(q), "beta_rank_1", b1, 0.0, 0))
             rows.append((float(q), "beta_rank_2", b2, 0.0, 0))
-        _write_table(args, _CURVE_HEADER, rows)
+        _write_table(args, _CURVE_HEADER, _row_columns(rows))
     elif what == "beta-n3":
         grid = _quota_grid_from_args(args)
         rows = []
@@ -361,7 +431,7 @@ def _cmd_analytic(args):
             triple = analytic.expected_beta_n3(float(q))
             for k, value in enumerate(triple, start=1):
                 rows.append((float(q), f"beta_rank_{k}", value, 0.0, 0))
-        _write_table(args, _CURVE_HEADER, rows)
+        _write_table(args, _CURVE_HEADER, _row_columns(rows))
     elif what == "class-probs":
         grid = _quota_grid_from_args(args)
         table = analytic.class_table_n3()
@@ -369,17 +439,16 @@ def _cmd_analytic(args):
         for q in grid:
             for label, prob in table.probabilities(float(q)).items():
                 rows.append((float(q), f"class_{label}", prob, 0.0, 0))
-        _write_table(args, _CURVE_HEADER, rows)
+        _write_table(args, _CURVE_HEADER, _row_columns(rows))
     elif what == "extrema":
         rows = [
             (e.rank, _fmt(float(e.location)), str(e.location), e.kind)
             for e in analytic.extrema_n3()
         ]
-        _write_table(args, ("rank", "quota", "quota-exact", "kind"), rows)
+        _write_table(args, ("rank", "quota", "quota-exact", "kind"), _row_columns(rows))
     elif what == "cf":
         ts = np.array(_parse_floats(args.t)) if args.t else np.linspace(0.0, 20.0, 81)
-        values = analytic.coalition_weight_cf(args.n, ts)
-        _write_table(args, ("t", "value"), list(zip(map(float, ts), map(float, values))))
+        _write_table(args, ("t", "value"), [ts, analytic.coalition_weight_cf(args.n, ts)])
     else:
         raise argparse.ArgumentTypeError(f"unknown analytic target {what!r}")
     return 0

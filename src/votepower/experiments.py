@@ -48,12 +48,6 @@ class QuotaCurve:
         if np.any(np.asarray(self.stderr) < 0) or np.any(np.asarray(self.samples) <= 0):
             raise InvalidArgumentsError("standard errors must be >= 0, samples > 0")
 
-    def to_rows(self):
-        return [
-            (float(q), self.name, float(m), float(s), int(c))
-            for q, m, s, c in zip(self.quotas, self.mean, self.stderr, self.samples)
-        ]
-
 
 def _validate_grid(quotas) -> np.ndarray:
     grid = np.asarray(quotas, dtype=np.float64).reshape(-1)

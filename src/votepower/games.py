@@ -368,19 +368,6 @@ class StepCurve:
         piece = int(np.searchsorted(self.breakpoints, q, side="left"))
         return self.values[piece]
 
-    def to_rows(self):
-        """Rows (quota, series, value, stderr, samples) for persistence."""
-        rows = []
-        for i, bp in enumerate(self.breakpoints):
-            value = self.values[i]
-            if np.ndim(value) == 0:
-                rows.append((float(bp), self.statistic, float(value), 0.0, 0))
-            else:
-                for p, v in enumerate(value):
-                    name = f"{self.statistic}_player_{p + 1}"
-                    rows.append((float(bp), name, float(v), 0.0, 0))
-        return rows
-
 
 def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True):
     """Winning-coalition counts at every level of a strictly increasing grid,

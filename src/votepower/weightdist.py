@@ -71,6 +71,8 @@ def expected_ordered_weight_exact(n: int, k: int) -> Fraction:
 
 def expected_ordered_weights(n: int) -> np.ndarray:
     """All n expected ordered weights, largest first."""
+    if n < 1:
+        raise InvalidArgumentsError("player count must be at least 1")
     return np.array([expected_ordered_weight(n, k) for k in range(1, n + 1)])
 
 

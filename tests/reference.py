@@ -5,6 +5,7 @@ the library (itertools enumeration with exact fsum, beta-function
 identities, quadrature) so that agreement is evidence, not tautology.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -81,3 +82,39 @@ def product_moment_quadrature(exponents, points=4001):
     a, b = exponents
     w = np.linspace(0.0, 1.0, points)
     return float(np.trapezoid(w ** a * (1.0 - w) ** b, w))
+
+
+def table_cell(value):
+    """One CSV cell, formatted row by row: floats to 17 significant digits."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def table_text(header, rows, fmt="csv"):
+    """A whole CLI table from its rows, one row at a time."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    return "".join(",".join(map(table_cell, row)) + "\n" for row in [header, *rows])
+
+
+def step_curve_rows(curve):
+    """Rows (quota, series, value, stderr, samples) of a fixed-weight quota
+    curve: one per breakpoint, or per breakpoint and player."""
+    rows = []
+    for i, bp in enumerate(curve.breakpoints):
+        value = curve.values[i]
+        if np.ndim(value) == 0:
+            rows.append((float(bp), curve.statistic, float(value), 0.0, 0))
+        else:
+            for p, v in enumerate(value):
+                rows.append((float(bp), f"{curve.statistic}_player_{p + 1}", float(v), 0.0, 0))
+    return rows
+
+
+def quota_curve_rows(curve):
+    """Rows (quota, series, mean, stderr, samples) of a Monte Carlo curve."""
+    return [
+        (float(q), curve.name, float(m), float(s), int(c))
+        for q, m, s, c in zip(curve.quotas, curve.mean, curve.stderr, curve.samples)
+    ]

@@ -1,15 +1,22 @@
+import argparse
 import json
+import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 import votepower
-from votepower import ConvergenceFailureError, analytic
-from votepower.cli import main
+from votepower import ConvergenceFailureError, analytic, experiments, games, simplex
+from votepower.cli import _CURVE_HEADER, _float_text, _write_table, main
 
 
 def run_cli(args, capsys):
@@ -35,6 +42,51 @@ class TestExpectedWeights:
         )
         rows = json.loads(out)
         assert rows[0]["expected"] == pytest.approx(11 / 18, abs=1e-15)
+
+
+class TestUsageErrors:
+    """Bad arguments exit 2 with an error line and write no table."""
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_expected_weights_without_players(self, capsys, n):
+        code, out, err = run_cli(["expected-weights", "--n", n], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_density_without_points(self, tmp_path, capsys, points):
+        svg = tmp_path / "d.svg"
+        for extra in ([], ["--plot", str(svg)]):
+            code, out, err = run_cli(
+                ["weight-density", "--n", "4", "--k", "2", "--points", points, *extra], capsys
+            )
+            assert (code, out) == (2, "")
+            assert "InvalidArgumentsError" in err and "--points" in err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("quotas", ["0.6,0.6", "0.8,0.6", "0.4,0.6"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["coleman-curve", "--n", "6", "--method", "inversion"],
+            ["coleman-curve", "--n", "6", "--method", "normal"],
+            ["analytic", "--what", "beta-n2"],
+            ["analytic", "--what", "beta-n3"],
+            ["analytic", "--what", "class-probs"],
+        ],
+        ids=["inversion", "normal", "beta-n2", "beta-n3", "class-probs"],
+    )
+    def test_every_quota_grid_is_validated(self, capsys, command, quotas):
+        code, out, err = run_cli([*command, "--quotas", quotas], capsys)
+        assert (code, out) == (2, "")
+        assert "InvalidArgumentsError" in err
+
+    def test_single_quota_is_a_one_point_grid(self, capsys):
+        code, out, err = run_cli(
+            ["coleman-curve", "--n", "6", "--method", "normal", "--quota", "0.5"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "InvalidArgumentsError" in err
 
 
 class TestIndices:
@@ -313,3 +365,108 @@ class TestPlotsAndFiles:
         target = tmp_path / "one.svg"
         emit_plot([("p", [0.6], [0.25])], str(target), "one point")
         assert "<circle" in target.read_text()
+
+
+def _bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_N12 = random.Random(12)
+# At n = 12 a beta or psi curve has 24576 rows, more than one block of the CSV writer.
+_WEIGHTS = {
+    1: "1",
+    3: "0.5,0.3,0.2",
+    12: ",".join(repr(_N12.random()) for _ in range(12)),
+}
+
+
+def _fixed_curve_rows(text, functional):
+    weights = simplex.as_weight_vector([float(w) for w in text.split(",")], normalize=True)
+    return reference.step_curve_rows(games.fixed_weight_quota_curve(weights, functional))
+
+
+def _power_curve_rows():
+    curves = experiments.mc_power_curve(
+        3, experiments.default_quota_grid(), samples=300, seed=simplex.RandomSeed(4, 0),
+        statistic="beta", workers=1,
+    )
+    return [row for curve in curves for row in reference.quota_curve_rows(curve)]
+
+
+def _sample_weights_rows():
+    draws = simplex.sample_uniform_simplex_batch(3, 25, simplex.RandomSeed(8, 0))
+    return [tuple(float(x) for x in row) for row in draws]
+
+
+def _beta_n3_rows():
+    rows = []
+    for q in experiments.default_quota_grid():
+        for k, value in enumerate(analytic.expected_beta_n3(float(q)), start=1):
+            rows.append((float(q), f"beta_rank_{k}", value, 0.0, 0))
+    return rows
+
+
+def _classes_rows():
+    catalog = experiments.discover_classes(3, budget=4000, seed=simplex.RandomSeed(6, 0))
+    return [
+        (idx, ";".join(reference.table_cell(b) for b in cls.beta), cls.hits)
+        for idx, cls in enumerate(catalog.classes)
+    ]
+
+
+_GOLDEN = [
+    pytest.param(
+        ["fixed-curve", "--weights", _WEIGHTS[n], "--functional", functional],
+        _CURVE_HEADER,
+        lambda n=n, functional=functional: _fixed_curve_rows(_WEIGHTS[n], functional),
+        id=f"fixed-curve-n{n}-{functional}",
+    )
+    for n in (1, 3, 12)
+    for functional in ("beta", "psi", "coleman")
+] + [
+    pytest.param(
+        ["power-curve", "--n", "3", "--samples", "300", "--seed", "4"],
+        _CURVE_HEADER, _power_curve_rows, id="power-curve-n3",
+    ),
+    pytest.param(
+        ["sample-weights", "--n", "3", "--samples", "25", "--seed", "8"],
+        ("w1", "w2", "w3"), _sample_weights_rows, id="sample-weights",
+    ),
+    pytest.param(
+        ["analytic", "--what", "beta-n3"], _CURVE_HEADER, _beta_n3_rows, id="analytic-beta-n3",
+    ),
+    pytest.param(
+        ["classes", "--n", "3", "--budget", "4000", "--seed", "6"],
+        ("class-id", "beta-vector", "hit-count"), _classes_rows, id="classes-n3",
+    ),
+]
+
+
+class TestTableWriter:
+    @given(st.floats() | st.integers(0, 2 ** 64 - 1).map(_bits_to_float))
+    @example(-0.0)
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(5e-324)
+    @example(-2.225073858507201e-308)
+    @settings(max_examples=2000, deadline=None)
+    def test_percent_format_matches_format(self, value):
+        expected = format(value, ".17g")
+        assert "%.17g" % value == expected
+        assert _float_text(np.array([value, value, -value])) == [
+            expected, expected, format(-value, ".17g")
+        ]
+
+    def test_signed_zeros_and_nans_keep_their_text(self, capsys):
+        args = argparse.Namespace(format="csv", output=None)
+        column = np.array([0.0, -0.0, -0.0, math.nan, math.nan])
+        _write_table(args, ("x", "name", "count"), [column, "z", 0])
+        assert capsys.readouterr().out == "x,name,count\n0,z,0\n-0,z,0\n-0,z,0\nnan,z,0\nnan,z,0\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, header, rows", _GOLDEN)
+    def test_matches_row_wise_reference(self, capsys, argv, header, rows, fmt):
+        code, out, _ = run_cli([*argv, "--format", fmt], capsys)
+        assert code == 0
+        assert out == reference.table_text(header, rows(), fmt)
