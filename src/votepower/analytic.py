@@ -439,7 +439,11 @@ def expected_coleman(n: int, q: float) -> float:
 
 
 def expected_coleman_normal(n: int, q: float) -> float:
-    """Central-limit approximation 1 - Phi(sqrt(2 (n+1)) (q - 1/2))."""
+    """Central-limit approximation 1 - Phi(sqrt(2 (n+1)) (q - 1/2)).
+
+    Unlike the exact curve and every quota grid, which take q in (1/2, 1],
+    this accepts the closed interval [1/2, 1]: at q = 1/2 it is exactly 1/2.
+    """
     if n < 1:
         raise InvalidArgumentsError("player count must be at least 1")
     q = float(q)

@@ -39,17 +39,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _float_text(values: np.ndarray) -> list[str]:
-    """``format(v, ".17g")`` of every value; a run of neighbours with equal
-    bits is formatted once.  Bits, not values, so -0.0 after 0.0 is not
-    merged.  ``"%.17g" %`` gives the same text as ``format``, faster.
+def _float_text(values: np.ndarray, fmt="%.17g".__mod__) -> list[str]:
+    """``fmt`` of every value, by default ``format(v, ".17g")``; a run of
+    neighbours with equal bits is formatted once.  Bits, not values, so
+    -0.0 after 0.0 is not merged.  ``"%.17g" %`` gives the same text as
+    ``format``, faster.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits = values.view(np.int64)
     starts = np.empty(values.size, dtype=bool)
     starts[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    text = np.array(list(map("%.17g".__mod__, values[starts].tolist())), dtype=object)
+    text = np.array(list(map(fmt, values[starts].tolist())), dtype=object)
     return text[np.cumsum(starts) - 1].tolist()
 
 
@@ -63,6 +64,27 @@ def _column_text(column, start: int, stop: int):
     if part.dtype.kind == "f":
         return _float_text(part)
     return map(str, part.tolist())
+
+
+# json.dumps writes non-finite floats as JavaScript names, finite ones as repr
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_column_text(column, start: int, stop: int):
+    """``json.dumps`` of each of rows [start, stop) of one column."""
+    if isinstance(column, list):
+        part = column[start:stop]
+        text = {value: json.dumps(value) for value in set(part)}
+        return map(text.__getitem__, part)
+    if not isinstance(column, np.ndarray):
+        return itertools.repeat(json.dumps(column))
+    part = column[start:stop]
+    if part.dtype.kind != "f":
+        return map(json.dumps, part.tolist())
+    text = _float_text(part, float.__repr__)
+    if not np.isfinite(part).all():
+        text = [_JSON_NONFINITE.get(t, t) for t in text]
+    return text
 
 
 @contextlib.contextmanager
@@ -80,25 +102,29 @@ def _write_json(args, payload):
         out.write(json.dumps(payload, indent=2) + "\n")
 
 
-_TABLE_BLOCK = 1 << 14  # CSV rows formatted per write, which bounds the text held
+_TABLE_BLOCK = 1 << 14  # rows formatted per write, which bounds the text held
 
 
 def _write_table(args, header, columns):
     """Write a table given column by column.
 
     Each column is a numpy array, a list of strings, or a scalar that
-    repeats on every row.  CSV text is made one column and one block of
-    rows at a time and streamed; JSON rows hold the columns' Python values.
+    repeats on every row.  Text is made one column and one block of rows
+    at a time and streamed.  JSON is the bytes of ``json.dumps(rows,
+    indent=2)`` with one object per row, keys in header order, holding the
+    columns' Python values.
     """
     rows = next((len(c) for c in columns if isinstance(c, (np.ndarray, list))), 0)
     if args.format == "json":
-        values = [
-            c.tolist() if isinstance(c, np.ndarray)
-            else c if isinstance(c, list)
-            else itertools.repeat(c, rows)
-            for c in columns
-        ]
-        _write_json(args, [dict(zip(header, row)) for row in zip(*values)])
+        keys = (json.dumps(h).replace("%", "%%") for h in header)
+        template = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
+        with _output(args) as out:
+            out.write("[")
+            for start in range(0, rows, _TABLE_BLOCK):
+                texts = [_json_column_text(c, start, start + _TABLE_BLOCK) for c in columns]
+                out.write("\n" if start == 0 else ",\n")
+                out.write(",\n".join(map(template.__mod__, zip(*texts))))
+            out.write("\n]\n" if rows else "]\n")
         return
     with _output(args) as out:
         out.write(",".join(header) + "\n")

@@ -40,6 +40,9 @@ CURVE_BUDGET = 20      # quota curves keep n counts per breakpoint, up to 2^(n-1
 # the defining predicate fl(a + b) >= q so the search is exact.
 _TIE_WINDOW = 32 * np.finfo(np.float64).eps
 
+_BIN_CELL_BITS = 16    # finest binning cell, 2^-16 wide
+_BIN_BLOCK = 1 << 15   # sums binned per pass
+
 
 @dataclass(frozen=True, eq=False)
 class VotingGame:
@@ -369,12 +372,71 @@ class StepCurve:
         return self.values[piece]
 
 
+def _level_table(levels: np.ndarray):
+    """The lookup ``_bin_keys`` makes for a strictly increasing grid.
+
+    Cells have width 2^-k, the smallest k with 2^-k below the grid's
+    minimum gap, at most 16, and cover [0, max(levels[-1], 1)].  Returns
+    the scale 2^k, the count of levels at or below each cell's left edge,
+    the levels followed by +inf, and the most levels lying strictly inside
+    one cell.
+    """
+    gap = np.diff(levels).min() if levels.size > 1 else np.inf
+    k = 0
+    while k < _BIN_CELL_BITS and 2.0 ** -k >= gap:
+        k += 1
+    scale = 2.0 ** k
+    top = max(float(levels[-1]), 1.0) if levels.size else 1.0
+    edges = np.arange(int(top * scale) + 2) / scale
+    at_or_below = np.searchsorted(levels, edges, side="right")
+    below = np.searchsorted(levels, edges, side="left")
+    steps = int((below[1:] - at_or_below[:-1]).max())
+    level_after = np.append(levels, np.inf)
+    return scale, at_or_below[:-1].astype(np.int64), level_after, steps
+
+
+def _bin_keys(sums: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """bin * cols + column for every entry of a (rows, cols) table of sums
+    >= 0, where bin = searchsorted(levels, sum, side="right"), found exactly
+    by table lookup.
+
+    s * 2^k is exact, so its integer part is the cell holding s, and the
+    table gives the levels at or below that cell's left edge.  Each step
+    ``bin += s >= level_after[bin]`` then counts one more level inside the
+    cell; as many steps as the fullest cell holds finish every sum.  Rows
+    go through in blocks of about ``_BIN_BLOCK`` sums with fixed scratch,
+    which stays in cache.
+    """
+    rows, cols = sums.shape
+    scale, table, level_after, steps = _level_table(levels)
+    span = max(1, _BIN_BLOCK // cols)
+    keys = np.empty((rows, cols), dtype=np.int64)
+    cell = np.empty((span, cols), dtype=np.int64)
+    bound = np.empty((span, cols))
+    above = np.empty((span, cols), dtype=bool)
+    column = np.arange(cols)
+    for start in range(0, rows, span):
+        s = sums[start:start + span]
+        k = keys[start:start + span]
+        m = len(s)
+        np.multiply(s, scale, out=cell[:m], casting="unsafe")
+        np.take(table, cell[:m], out=k, mode="clip")
+        for _ in range(steps):
+            np.take(level_after, k, out=bound[:m])
+            np.greater_equal(s, bound[:m], out=above[:m])
+            k += above[:m]
+        k *= cols
+        k += column
+    return keys
+
+
 def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True):
     """Winning-coalition counts at every level of a strictly increasing grid,
     for each game (column) of a ``_full_sums`` table.
 
-    A coalition wins at level g exactly when g is below its bin,
-    searchsorted(levels, sum, "right"), so one binning, one bincount per
+    A coalition wins at level g exactly when g is below its bin, the count
+    of levels at or below its sum, which ``_bin_keys`` finds by an exact
+    table lookup on cells of width 2^-k.  So one binning, one bincount per
     game (and per player over that player's masks) and suffix sums over the
     bins give every count at once.  Returns int64 ``omega`` of shape
     (levels, *games) and, if ``members``, ``member`` of shape
@@ -384,10 +446,8 @@ def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True):
     n = rows.bit_length() - 1
     cols = math.prod(columns)
     # key = bin * cols + column: one bincount covers every game's bins
-    keys = np.searchsorted(levels, sums, side="right").reshape(rows, cols)
+    keys = _bin_keys(sums.reshape(rows, cols), levels)
     del sums
-    keys *= cols
-    keys += np.arange(cols)
     bins = levels.size + 1
 
     def histogram(selected):

@@ -77,11 +77,23 @@ def coleman_mixture_exact(n, q):
     return total / (2 ** n * d ** (n - 1))  # one correctly rounded division
 
 
+def packbits_family_runs(win):
+    """(key, games) per distinct column of a (2^n, games) win table, by
+    np.packbits down the columns and np.unique over void keys of the packed
+    bytes, the column's whole bit string."""
+    packed = np.ascontiguousarray(np.packbits(win, axis=0).T)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    uniques, counts = np.unique(keys, return_counts=True)
+    return [(key.tobytes(), int(hits)) for key, hits in zip(uniques, counts)]
+
+
 def product_moment_quadrature(exponents, points=4001):
     """E(prod W^m) for n = 2 by direct 1-D integration over the simplex edge."""
     a, b = exponents
     w = np.linspace(0.0, 1.0, points)
-    return float(np.trapezoid(w ** a * (1.0 - w) ** b, w))
+    # numpy < 2 names the trapezoid rule trapz
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    return float(trapezoid(w ** a * (1.0 - w) ** b, w))
 
 
 def table_cell(value):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reference
 import votepower
 from votepower import ConvergenceFailureError, analytic, experiments, games, simplex
-from votepower.cli import _CURVE_HEADER, _float_text, _write_table, main
+from votepower.cli import _CURVE_HEADER, _TABLE_BLOCK, _float_text, _write_table, main
 
 
 def run_cli(args, capsys):
@@ -470,3 +470,49 @@ class TestTableWriter:
         code, out, _ = run_cli([*argv, "--format", fmt], capsys)
         assert code == 0
         assert out == reference.table_text(header, rows(), fmt)
+
+
+class _RecordingStream:
+    """A text stream that keeps each write separately."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+class TestJsonTable:
+    @pytest.mark.parametrize(
+        "weights, functional", [("0.5,0.3,0.2", "beta"), ("1", "coleman")], ids=["n3", "one-row"]
+    )
+    def test_matches_json_dumps(self, capsys, weights, functional):
+        rows = _fixed_curve_rows(weights, functional)
+        code, out, _ = run_cli(
+            ["fixed-curve", "--weights", weights, "--functional", functional, "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        expected = [dict(zip(_CURVE_HEADER, row)) for row in rows]
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_special_values_and_empty_table(self, capsys):
+        args = argparse.Namespace(format="json", output=None)
+        column = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1])
+        _write_table(args, ("x", "name", "count", "text"), [column, "z", 0, list("abcdefg")])
+        rows = zip(column.tolist(), ["z"] * 7, [0] * 7, "abcdefg")
+        expected = [dict(zip(("x", "name", "count", "text"), row)) for row in rows]
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+        _write_table(args, ("x",), [np.array([])])
+        assert capsys.readouterr().out == "[]\n"
+
+    def test_rows_are_written_in_blocks(self, monkeypatch):
+        # At n = 12 the curve has 24576 rows, more than one block.
+        stream = _RecordingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        argv = ["fixed-curve", "--weights", _WEIGHTS[12], "--functional", "psi"]
+        assert main([*argv, "--format", "json"]) == 0
+        rows = _fixed_curve_rows(_WEIGHTS[12], "psi")
+        assert len(rows) > _TABLE_BLOCK
+        assert max(text.count("{") for text in stream.writes) <= _TABLE_BLOCK
+        assert "".join(stream.writes) == reference.table_text(_CURVE_HEADER, rows, "json")

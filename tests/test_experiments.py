@@ -21,8 +21,10 @@ from votepower import (
     mc_hoeffding_curve,
     mc_power_curve,
 )
-from votepower import games
+from votepower import experiments, games
 from votepower.experiments import CLASS_COUNT_CEILINGS, QuotaCurve, _sorted_weight_chunk
+
+import reference
 
 
 class TestQuotaGrid:
@@ -125,7 +127,70 @@ class TestMonteCarloAtTies:
             assert coleman.mean[g] == profile.coleman
 
 
+class TestRankOrder:
+    @pytest.mark.parametrize("statistic", ["beta", "psi"])
+    def test_ascending_chunk_is_sorted(self, statistic):
+        # Ascending weights give ascending profiles, so the block is sorted.
+        n, grid = 6, default_quota_grid()
+        weights = np.ascontiguousarray(_sorted_weight_chunk(n, 9, 0, 50)[:, ::-1])
+        blocks = list(experiments._power_values(weights, grid, statistic))
+        assert len(blocks) == 1
+        values = blocks[0]
+        assert np.all(values[:, :-1] >= values[:, 1:])
+        for j in (0, 17, 49):
+            for g in (0, 40, 99):
+                profile = banzhaf(VotingGame(weights[j], grid[g]))
+                expected = getattr(profile, statistic)
+                assert np.array_equal(values[g, :, j], np.sort(expected)[::-1])
+
+
+def _upward_closed(family, n):
+    return all(mask | 1 << bit in family for mask in family for bit in range(n))
+
+
+def _proper(family, n):
+    full = (1 << n) - 1
+    return not any(full ^ mask in family for mask in family)
+
+
+def _rank_complete(family, n):
+    """Swapping a member for a larger (lower-rank) non-member still wins."""
+    for mask in family:
+        for out in range(n):
+            if not mask >> out & 1:
+                continue
+            for into in range(out):
+                if not mask >> into & 1 and mask ^ (1 << out) ^ (1 << into) not in family:
+                    return False
+    return True
+
+
 class TestDiscoverClasses:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_grouping_matches_packbits_oracle(self, n):
+        rng = np.random.default_rng(n)
+        # Few distinct columns, so runs of several games each.
+        columns = rng.random((1 << n, 9)) < 0.5
+        win = columns[:, rng.integers(0, 9, 300)]
+        assert sorted(experiments._family_runs(win)) == sorted(
+            reference.packbits_family_runs(win)
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_catalog_matches_packbits_oracle(self, n, monkeypatch):
+        catalog = discover_classes(n, budget=3000, seed=n)
+        monkeypatch.setattr(experiments, "_family_runs", reference.packbits_family_runs)
+        assert discover_classes(n, budget=3000, seed=n) == catalog
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_families_are_weighted_game_shapes(self, n):
+        catalog = discover_classes(n, budget=3000, seed=20 + n)
+        for cls in catalog.classes:
+            family = set(cls.winning_masks)
+            assert _upward_closed(family, n)
+            assert _proper(family, n)
+            assert _rank_complete(family, n)
+
     def test_two_players(self):
         catalog = discover_classes(2, budget=20000, seed=0)
         assert catalog.count == 2

@@ -20,6 +20,8 @@ from votepower import (
     optimal_quota_diagnostic,
     sample_uniform_simplex,
 )
+from votepower import games
+from votepower.experiments import default_quota_grid
 
 import reference
 
@@ -328,6 +330,82 @@ class TestQuotaCurve:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             fixed_weight_quota_curve(np.full(21, 1 / 21) / np.full(21, 1 / 21).sum())
+
+
+def _table_bins(levels, x):
+    """The counting core's binning of each value in x against the levels."""
+    x = np.asarray(x, dtype=np.float64)
+    return games._bin_keys(x.reshape(-1, 1), levels).reshape(-1)
+
+
+def _binning_probes(levels):
+    """Every level and cell edge with both neighbours, the unanimity point
+    and values past it; all >= 0, the sums' domain."""
+    scale = games._level_table(levels)[0]
+    edges = np.arange(int(max(levels[-1], 1.0) * scale) + 2) / scale
+    points = np.concatenate([levels, edges, [0.0, 1.0, 1.0 + 1e-12, 2.0]])
+    probes = np.concatenate(
+        [points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)]
+    )
+    return probes[probes >= 0]
+
+
+def _n16_levels():
+    w = sample_uniform_simplex(16, RandomSeed(5))
+    sums = games._full_sums(w)
+    return np.unique(sums[(sums > 0.5) & (sums <= 1.0)])
+
+
+class TestBinning:
+    """The exact table binning equals searchsorted(levels, x, "right")."""
+
+    @pytest.mark.parametrize(
+        "levels",
+        [np.array([0.75]), np.array([1.0]), default_quota_grid(), _n16_levels()],
+        ids=["one-level", "unanimity-only", "default-grid", "n16-sums"],
+    )
+    def test_matches_searchsorted(self, levels):
+        probes = _binning_probes(levels)
+        assert np.array_equal(
+            _table_bins(levels, probes), np.searchsorted(levels, probes, side="right")
+        )
+
+    def test_default_grid_needs_one_step(self):
+        assert games._level_table(default_quota_grid())[3] == 1
+
+    def test_n16_sums_need_several_steps(self):
+        levels = _n16_levels()
+        assert np.diff(levels).min() < 2.0 ** -16
+        assert games._level_table(levels)[3] > 1
+
+    def test_game_sums(self):
+        levels = _n16_levels()
+        sums = games._full_sums(sample_uniform_simplex(16, RandomSeed(5)))
+        assert np.array_equal(
+            _table_bins(levels, sums), np.searchsorted(levels, sums, side="right")
+        )
+
+    def test_keys_interleave_columns(self):
+        grid = default_quota_grid()
+        weights = np.sort(np.random.default_rng(3).dirichlet(np.ones(5), 7), axis=1)
+        sums = games._full_sums(weights[:, ::-1].T)
+        keys = games._bin_keys(sums, grid)
+        bins = np.searchsorted(grid, sums, side="right")
+        assert np.array_equal(keys, bins * sums.shape[1] + np.arange(sums.shape[1]))
+
+    @given(
+        st.lists(
+            st.floats(0.5, 1.0, exclude_min=True), min_size=1, max_size=40, unique=True
+        ).map(sorted),
+        st.lists(st.floats(0.0, 1.5), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_grids(self, levels, extra):
+        levels = np.array(levels)
+        probes = np.concatenate([_binning_probes(levels), extra])
+        assert np.array_equal(
+            _table_bins(levels, probes), np.searchsorted(levels, probes, side="right")
+        )
 
 
 class TestOptimalQuotaDiagnostic:
