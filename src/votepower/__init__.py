@@ -69,7 +69,6 @@ from .simplex import (
     sample_uniform_simplex_batch,
 )
 from .weightdist import (
-    OrderedWeightDistribution,
     expected_ordered_weight,
     expected_ordered_weight_exact,
     expected_ordered_weights,

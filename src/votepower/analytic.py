@@ -124,7 +124,7 @@ def expected_beta_n2(q: float) -> tuple[float, float]:
     q = float(q)
     if not (0.5 < q <= 1.0):
         raise InvalidArgumentsError("quota must lie in (1/2, 1]")
-    return 1.5 - q, q - 0.5
+    return tuple(expected_beta_n2_curve(rank).value(q) for rank in (1, 2))
 
 
 def expected_beta_n2_curve(rank: int) -> PiecewisePolynomialCurve:
@@ -249,8 +249,7 @@ def expected_beta_n3(q: float) -> tuple[float, float, float]:
     q = float(q)
     if not (0.5 < q <= 1.0):
         raise InvalidArgumentsError("quota must lie in (1/2, 1]")
-    branch = _BETA_N3_LOW if q <= float(_TABLE_N3.branch_point) else _BETA_N3_HIGH
-    return tuple(float(_poly_eval(p, Fraction(q))) for p in branch)
+    return tuple(expected_beta_n3_curve(rank).value(q) for rank in (1, 2, 3))
 
 
 @dataclass(frozen=True)

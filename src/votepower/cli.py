@@ -442,6 +442,9 @@ def _read_series_csv(path: str, series: str | None):
 
 def _cmd_analytic(args):
     what = args.what
+    players = {"beta-n2": 2, "cf": None}.get(what, 3)  # the closed forms' player count
+    if players and args.n not in (None, players):
+        raise InvalidArgumentsError(f"--what {what} has {players} players, not --n {args.n}")
     if what == "beta-n2":
         grid = _quota_grid_from_args(args)
         rows = []
@@ -474,7 +477,8 @@ def _cmd_analytic(args):
         _write_table(args, ("rank", "quota", "quota-exact", "kind"), _row_columns(rows))
     elif what == "cf":
         ts = np.array(_parse_floats(args.t)) if args.t else np.linspace(0.0, 20.0, 81)
-        _write_table(args, ("t", "value"), [ts, analytic.coalition_weight_cf(args.n, ts)])
+        n = 3 if args.n is None else args.n
+        _write_table(args, ("t", "value"), [ts, analytic.coalition_weight_cf(n, ts)])
     else:
         raise argparse.ArgumentTypeError(f"unknown analytic target {what!r}")
     return 0
@@ -604,7 +608,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         choices=("beta-n2", "beta-n3", "class-probs", "extrema", "cf"),
         required=True,
     )
-    sub.add_argument("--n", type=int, default=3)
+    sub.add_argument("--n", type=int, help="2 for beta-n2, 3 for the rest; any for cf (default 3)")
     sub.add_argument("--quotas", help="comma-separated quota grid")
     sub.add_argument("--t", help="comma-separated CF arguments")
     _add_output_args(sub)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analytic, games
 from .errors import BudgetExceededError, InvalidArgumentsError
-from .simplex import as_seed, sample_uniform_simplex_batch
+from .simplex import _simplex_rows, as_seed, sample_uniform_simplex_batch
 
 MC_CHUNK = 4096
 MC_KERNEL_BUDGET = 18          # vectorized per-sample enumeration cap
@@ -348,9 +348,7 @@ def discover_classes(n: int, budget: int = 10 ** 6, seed=0) -> GameClassCatalog:
     while remaining > 0:
         count = min(DISCOVERY_CHUNK, remaining)
         rng = base.substream(chunk_index).generator()
-        u = rng.random((count, n))
-        weights = -np.log1p(-u)
-        weights /= weights.sum(axis=1, keepdims=True)
+        weights = _simplex_rows(rng, n, count)
         weights.sort(axis=1)
         weights = weights[:, ::-1]
         quotas = 1.0 - 0.5 * rng.random(count)  # uniform on (1/2, 1]

@@ -110,12 +110,17 @@ def sample_uniform_simplex_batch(n: int, size: int, seed) -> np.ndarray:
         raise InvalidDimensionError("player count must be at least 1")
     if size < 1:
         raise InvalidArgumentsError("size must be at least 1")
-    rng = as_seed(seed).generator()
+    return _simplex_rows(as_seed(seed).generator(), n, size)
+
+
+def _simplex_rows(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``size`` uniform simplex rows from ``rng``, which the caller may go
+    on drawing from."""
     u = rng.random((size, n))
     # U = 1 - u lies in (0, 1], so the log never sees zero.
     exponentials = -np.log1p(-u)
-    totals = exponentials.sum(axis=1, keepdims=True)
-    return exponentials / totals
+    exponentials /= exponentials.sum(axis=1, keepdims=True)
+    return exponentials
 
 
 def sample_uniform_simplex(n: int, seed) -> np.ndarray:

@@ -10,19 +10,17 @@ supported on [1/n, 1] for k = 1 and on [0, 1/k] for k > 1, with breakpoints
 at the reciprocals 1/j.  The CDF follows by integrating each power term
 analytically; no quadrature is used.
 
-Numerics: all combinatorial coefficients are exact Python integers.  The
-alternating sum is evaluated with exact float summation (math.fsum) up to
-n = 12, which measured at most ~1e-9 relative error against the exact
-path; for larger n it switches to exact rational arithmetic on the float
-input (a float is a rational, so this is lossless) and rounds once at the
-end.  Beyond n = 64 evaluation refuses rather than slowing to a crawl
-unvalidated.
+Numerics: a float x is exactly a / b with b a power of two, so each
+alternating sum is an integer over a power of b (times lcm(k..n) for the
+CDF).  Both are summed in exact integer arithmetic and rounded once, by
+one correctly rounded integer division, so every value is the float
+nearest the exact one and no density is negative.  Beyond n = 64
+evaluation refuses rather than slowing to a crawl unvalidated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +32,6 @@ from .errors import (
     InvalidRankError,
 )
 
-FLOAT_PATH_N_MAX = 12
 DENSITY_N_MAX = 64
 
 
@@ -89,113 +86,30 @@ def ordered_weight_breakpoints(n: int, k: int) -> np.ndarray:
     return np.array(sorted(p for p in pts if lo < p < hi))
 
 
-@dataclass(frozen=True)
-class OrderedWeightDistribution:
-    """Bundled support/breakpoint metadata with pdf and cdf callables."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        _check_density_args(self.n, self.k)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return ordered_weight_support(self.n, self.k)
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return ordered_weight_breakpoints(self.n, self.k)
-
-    def pdf(self, x: float) -> float:
-        return ordered_weight_density(self.n, self.k, x)
-
-    def cdf(self, x: float) -> float:
-        return ordered_weight_cdf(self.n, self.k, x)
-
-    def mean(self) -> float:
-        return expected_ordered_weight(self.n, self.k)
-
-
-def _density_terms_float(n: int, k: int, x: float) -> float:
-    terms = []
-    for j in range(k, n + 1):
-        u = 1.0 - j * x
-        if u <= 0.0:
-            break
-        sign = -1 if (j - k) % 2 else 1
-        terms.append(sign * math.comb(n - k, j - k) * u ** (n - 2))
-    return math.fsum(terms)
-
-
-def _density_terms_exact(n: int, k: int, x: float) -> Fraction:
-    xq = Fraction(x)
-    total = Fraction(0)
-    for j in range(k, n + 1):
-        u = 1 - j * xq
-        if u <= 0:
-            break
-        sign = -1 if (j - k) % 2 else 1
-        total += sign * math.comb(n - k, j - k) * u ** (n - 2)
-    return total
-
-
-def ordered_weight_density(n: int, k: int, x: float, *, method: str = "auto") -> float:
+def ordered_weight_density(n: int, k: int, x: float) -> float:
     """Density f_{n,k}(x) of the k-th largest of n weights.
 
-    Returns exactly 0.0 outside the support.  ``method`` selects the
-    summation path: "float" (fsum of float terms), "exact" (rational
-    arithmetic, slow but cancellation-free), or "auto".
+    Returns exactly 0.0 outside the support and the correctly rounded
+    exact value inside it.
     """
     _check_density_args(n, k)
     x = float(x)
-    if x < 0.0 or x > 1.0:
-        return 0.0
     lo, hi = ordered_weight_support(n, k)
     if x < lo or x > hi:
         return 0.0
-    coeff = n * (n - 1) * math.comb(n - 1, k - 1)
-    if method == "auto":
-        method = "float" if n <= FLOAT_PATH_N_MAX else "exact"
-    if method == "float":
-        return coeff * _density_terms_float(n, k, x)
-    if method == "exact":
-        return float(coeff * _density_terms_exact(n, k, x))
-    raise InvalidArgumentsError(f"unknown method {method!r}")
-
-
-def _cdf_terms_float(n: int, k: int, x: float) -> float:
-    # Antiderivative of (1 - j t)^{n-2} on [0, min(x, 1/j)] is
-    # (1 - (1 - j x)_+^{n-1}) / (j (n-1)); the n (n-1) prefactor cancels
-    # one factor of (n-1).
-    terms = []
+    a, b = x.as_integer_ratio()  # x = a / b, so 1 - j x = (b - j a) / b
+    total = 0
     for j in range(k, n + 1):
-        u = 1.0 - j * x
-        if u <= 0.0:
-            body = 1.0
-        elif u > 0.5:
-            # 1 - u^{n-1} loses digits for u near 1; go through expm1/log1p.
-            body = -math.expm1((n - 1) * math.log1p(-j * x))
-        else:
-            body = 1.0 - u ** (n - 1)
-        sign = -1 if (j - k) % 2 else 1
-        terms.append(sign * math.comb(n - k, j - k) * body / j)
-    return math.fsum(terms)
+        base = b - j * a
+        if base <= 0:
+            break  # skipped, not clamped: 0 ** 0 is 1 at n = 2
+        term = math.comb(n - k, j - k) * base ** (n - 2)
+        total += -term if (j - k) % 2 else term
+    return n * (n - 1) * math.comb(n - 1, k - 1) * total / b ** (n - 2)
 
 
-def _cdf_terms_exact(n: int, k: int, x: float) -> Fraction:
-    xq = Fraction(x)
-    total = Fraction(0)
-    for j in range(k, n + 1):
-        u = 1 - j * xq
-        body = Fraction(1) if u <= 0 else 1 - u ** (n - 1)
-        sign = -1 if (j - k) % 2 else 1
-        total += Fraction(sign * math.comb(n - k, j - k), j) * body
-    return total
-
-
-def ordered_weight_cdf(n: int, k: int, x: float, *, method: str = "auto") -> float:
-    """CDF of the k-th largest of n weights, in closed form."""
+def ordered_weight_cdf(n: int, k: int, x: float) -> float:
+    """CDF of the k-th largest of n weights, in closed form, correctly rounded."""
     _check_density_args(n, k)
     x = float(x)
     lo, hi = ordered_weight_support(n, k)
@@ -203,15 +117,19 @@ def ordered_weight_cdf(n: int, k: int, x: float, *, method: str = "auto") -> flo
         return 0.0
     if x >= hi:
         return 1.0
-    coeff = n * math.comb(n - 1, k - 1)
-    if method == "auto":
-        method = "float" if n <= FLOAT_PATH_N_MAX else "exact"
-    if method == "float":
-        value = coeff * _cdf_terms_float(n, k, x)
-        return min(max(value, 0.0), 1.0)
-    if method == "exact":
-        return float(coeff * _cdf_terms_exact(n, k, x))
-    raise InvalidArgumentsError(f"unknown method {method!r}")
+    # Antiderivative of (1 - j t)^{n-2} on [0, min(x, 1/j)] is
+    # (1 - (1 - j x)_+^{n-1}) / (j (n-1)); the n (n-1) prefactor cancels
+    # one factor of (n-1).  Every term goes over lcm(k..n) b^{n-1}.
+    a, b = x.as_integer_ratio()
+    full = b ** (n - 1)
+    scale = math.lcm(*range(k, n + 1))
+    total = 0
+    for j in range(k, n + 1):
+        base = b - j * a
+        body = full - base ** (n - 1) if base > 0 else full
+        term = math.comb(n - k, j - k) * (scale // j) * body
+        total += -term if (j - k) % 2 else term
+    return n * math.comb(n - 1, k - 1) * total / (scale * full)
 
 
 def _validate_exponents(m) -> tuple[int, ...]:

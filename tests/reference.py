@@ -77,6 +77,44 @@ def coleman_mixture_exact(n, q):
     return total / (2 ** n * d ** (n - 1))  # one correctly rounded division
 
 
+def ordered_weight_density_exact(n, k, x):
+    """Density of the k-th largest of n simplex-uniform weights at the float
+    x as an exact Fraction: n (n-1) C(n-1, k-1) times the alternating sum
+    of C(n-k, j-k) (1 - j x)^(n-2) over the positive bases, summed in
+    rationals; zero outside the support."""
+    lo, hi = (1.0 / n, 1.0) if k == 1 else (0.0, 1.0 / k)
+    if x < lo or x > hi:
+        return Fraction(0)
+    xq = Fraction(x)
+    total = Fraction(0)
+    for j in range(k, n + 1):
+        u = 1 - j * xq
+        if u <= 0:
+            break
+        sign = -1 if (j - k) % 2 else 1
+        total += sign * math.comb(n - k, j - k) * u ** (n - 2)
+    return n * (n - 1) * math.comb(n - 1, k - 1) * total
+
+
+def ordered_weight_cdf_exact(n, k, x):
+    """CDF of the k-th largest weight at the float x as an exact Fraction:
+    n C(n-1, k-1) times the alternating sum of
+    C(n-k, j-k) (1 - (1 - j x)_+^(n-1)) / j, term by term in rationals."""
+    lo, hi = (1.0 / n, 1.0) if k == 1 else (0.0, 1.0 / k)
+    if x <= lo:
+        return Fraction(0)
+    if x >= hi:
+        return Fraction(1)
+    xq = Fraction(x)
+    total = Fraction(0)
+    for j in range(k, n + 1):
+        u = 1 - j * xq
+        body = Fraction(1) if u <= 0 else 1 - u ** (n - 1)
+        sign = -1 if (j - k) % 2 else 1
+        total += Fraction(sign * math.comb(n - k, j - k), j) * body
+    return n * math.comb(n - 1, k - 1) * total
+
+
 def packbits_family_runs(win):
     """(key, games) per distinct column of a (2^n, games) win table, by
     np.packbits down the columns and np.unique over void keys of the packed

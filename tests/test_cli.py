@@ -81,6 +81,27 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "InvalidArgumentsError" in err
 
+    @pytest.mark.parametrize(
+        "what,n",
+        [("beta-n2", "3"), ("beta-n2", "7"), ("beta-n3", "7"), ("beta-n3", "2"),
+         ("class-probs", "4"), ("extrema", "5")],
+    )
+    def test_analytic_closed_forms_reject_other_player_counts(self, tmp_path, capsys, what, n):
+        target = tmp_path / "out.csv"
+        for extra in ([], ["--output", str(target)]):
+            code, out, err = run_cli(["analytic", "--what", what, "--n", n, *extra], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and f"--n {n}" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "what,n", [("beta-n2", "2"), ("beta-n3", "3"), ("class-probs", "3"), ("extrema", "3")]
+    )
+    def test_analytic_accepts_its_own_player_count(self, capsys, what, n):
+        code, implicit, _ = run_cli(["analytic", "--what", what], capsys)
+        assert code == 0
+        assert run_cli(["analytic", "--what", what, "--n", n], capsys) == (0, implicit, "")
+
     def test_single_quota_is_a_one_point_grid(self, capsys):
         code, out, err = run_cli(
             ["coleman-curve", "--n", "6", "--method", "normal", "--quota", "0.5"], capsys
@@ -316,6 +337,13 @@ class TestPlotsAndFiles:
         assert header == "x,density"
         svg = svg_path.read_text()
         assert svg.startswith("<?xml") and "<polyline" in svg
+
+    def test_density_is_never_negative(self, capsys):
+        code, out, _ = run_cli(["weight-density", "--n", "12", "--k", "2"], capsys)
+        assert code == 0
+        densities = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert len(densities) == 512
+        assert min(densities) >= 0.0
 
     def test_fixed_curve_schema(self, capsys):
         code, out, _ = run_cli(

@@ -100,20 +100,37 @@ class TestDensity:
                 right = ordered_weight_density(n, k, bp + 1e-12)
                 assert abs(left - right) < 1e-8
 
-    @pytest.mark.parametrize("n,k", [(8, 1), (10, 4), (12, 7), (12, 12)])
+    @pytest.mark.parametrize(
+        "n,k",
+        [(8, 1), (10, 4), (12, 7), (12, 12), (2, 1), (2, 2), (13, 5), (30, 3), (64, 2)],
+    )
     def test_float_path_matches_exact_rationals(self, n, k):
-        # The auto dispatch trusts the float path up to n = 12.
+        # Every value is the float nearest the exact rational density.
         lo, hi = ordered_weight_support(n, k)
         for x in np.linspace(lo + 1e-9, hi - 1e-9, 23):
-            fast = ordered_weight_density(n, k, float(x), method="float")
-            slow = ordered_weight_density(n, k, float(x), method="exact")
-            assert abs(fast - slow) <= 1e-9 * max(1.0, abs(slow))
+            exact = reference.ordered_weight_density_exact(n, k, float(x))
+            assert ordered_weight_density(n, k, float(x)) == float(exact)
 
     def test_large_n_uses_exact_path(self):
         value = ordered_weight_density(40, 3, 0.05)
-        again = ordered_weight_density(40, 3, 0.05, method="exact")
-        assert value == again
+        assert value == float(reference.ordered_weight_density_exact(40, 3, 0.05))
         assert value > 0.0
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 13, 30, 64])
+    def test_exact_and_non_negative_at_every_rank(self, n):
+        # Both support ends and a point outside on either side; at n = 2 a
+        # vanishing base must not count as 0 ** 0 = 1.
+        for k in range(1, n + 1) if n <= 12 else sorted({1, 2, n // 2, n}):
+            lo, hi = ordered_weight_support(n, k)
+            for x in [*np.linspace(lo, hi, 41).tolist(), lo - 0.01, hi + 0.01]:
+                value = ordered_weight_density(n, k, x)
+                assert value == float(reference.ordered_weight_density_exact(n, k, x))
+                assert value >= 0.0
+
+    def test_nan_is_rejected(self):
+        for evaluate in (ordered_weight_density, ordered_weight_cdf):
+            with pytest.raises(ValueError):
+                evaluate(4, 2, math.nan)
 
     def test_validated_range_bound(self):
         with pytest.raises(AccuracyUnsupportedError):
@@ -161,13 +178,24 @@ class TestCdf:
         assert values[0] == 0.0 and values[-1] == 1.0
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("n,k", [(9, 5), (12, 3), (12, 11)])
+    @pytest.mark.parametrize(
+        "n,k", [(9, 5), (12, 3), (12, 11), (2, 1), (2, 2), (13, 5), (30, 3), (64, 2)]
+    )
     def test_float_path_matches_exact(self, n, k):
+        # Every value is the float nearest the exact rational CDF.
         lo, hi = ordered_weight_support(n, k)
         for x in np.linspace(lo + 1e-6, hi - 1e-6, 17):
-            fast = ordered_weight_cdf(n, k, float(x), method="float")
-            slow = ordered_weight_cdf(n, k, float(x), method="exact")
-            assert abs(fast - slow) <= 1e-10
+            exact = reference.ordered_weight_cdf_exact(n, k, float(x))
+            assert ordered_weight_cdf(n, k, float(x)) == float(exact)
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 13, 30, 64])
+    def test_exact_and_within_unit_interval_at_every_rank(self, n):
+        for k in range(1, n + 1) if n <= 12 else sorted({1, 2, n // 2, n}):
+            lo, hi = ordered_weight_support(n, k)
+            for x in [*np.linspace(lo, hi, 41).tolist(), lo - 0.01, hi + 0.01]:
+                value = ordered_weight_cdf(n, k, x)
+                assert value == float(reference.ordered_weight_cdf_exact(n, k, x))
+                assert 0.0 <= value <= 1.0
 
 
 class TestMoments:
