@@ -631,15 +631,9 @@ def _load_config(path: str) -> dict:
             if not line or line.startswith("#") or "=" not in line:
                 continue
             key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            for cast in (int, float):
-                try:
-                    value = cast(value)
-                    break
-                except ValueError:
-                    continue
-            out[key] = value
+            # Kept as strings: argparse parses a string default with its
+            # option's own type.
+            out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 

@@ -10,6 +10,7 @@ only on (seed, stream, i), so shorter runs are prefixes of longer ones.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -19,11 +20,10 @@ import numpy as np
 
 from . import analytic, games
 from .errors import BudgetExceededError, InvalidArgumentsError
-from .simplex import _simplex_rows, as_seed, sample_uniform_simplex_batch
+from .simplex import _simplex_rows, as_seed
 
 MC_CHUNK = 4096
 MC_KERNEL_BUDGET = 18          # vectorized per-sample enumeration cap
-DISCOVERY_CHUNK = 1 << 17
 _SUM_CELL_BUDGET = 1 << 22     # cap on 2^n * block_columns cells in memory
 
 
@@ -58,13 +58,24 @@ def _validate_grid(quotas) -> np.ndarray:
     return grid
 
 
+def _chunk_games(n: int, seed, chunk_index: int, count: int):
+    """Games [0, count) of chunk ``chunk_index``: weight rows sorted
+    descending, and quotas uniform on (1/2, 1].
+
+    The chunk's generator draws all ``MC_CHUNK`` weight rows, then
+    ``MC_CHUNK`` quotas 1 - U/2, and only then are both cut to ``count``,
+    so game i depends only on (seed, stream, i).
+    """
+    rng = as_seed(seed).substream(chunk_index).generator()
+    weights = _simplex_rows(rng, n, MC_CHUNK)[:count]
+    weights.sort(axis=1)
+    quotas = 1.0 - 0.5 * rng.random(MC_CHUNK)[:count]
+    return weights[:, ::-1], quotas
+
+
 def _sorted_weight_chunk(n: int, seed, chunk_index: int, count: int) -> np.ndarray:
     """Rows [0, count) of chunk ``chunk_index``, each sorted descending."""
-    draws = sample_uniform_simplex_batch(
-        n, MC_CHUNK, as_seed(seed).substream(chunk_index)
-    )[:count]
-    draws.sort(axis=1)
-    return draws[:, ::-1]
+    return _chunk_games(n, seed, chunk_index, count)[0]
 
 
 class _Accumulator:
@@ -152,25 +163,17 @@ def _hoeffding_values(weights, grid):
     yield np.exp(-2.0 * (grid[:, None] - 0.5) ** 2 / ssq[None, :])
 
 
-def _run_chunks(worker, samples: int, workers: int) -> _Accumulator:
-    """Evaluate per-chunk accumulators and reduce them in chunk order."""
-    plan = []
-    start = 0
-    index = 0
-    while start < samples:
-        count = min(MC_CHUNK, samples - start)
-        plan.append((index, count))
-        start += count
-        index += 1
-    if workers <= 1:
-        partials = [worker(i, c) for i, c in plan]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, i, c) for i, c in plan]
-            partials = [f.result() for f in futures]
-    combined = partials[0]
-    for part in partials[1:]:
-        combined.merge(part)
+def _run_chunks(worker, samples: int, workers: int):
+    """Evaluate ``worker(index, count)`` on each ``MC_CHUNK``-sample chunk
+    and reduce the partials with their ``merge`` method in chunk order,
+    each as it arrives."""
+    counts = [min(MC_CHUNK, samples - start) for start in range(0, samples, MC_CHUNK)]
+    # The pool starts no thread until work is submitted.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        partials = (map if workers <= 1 else pool.map)(worker, range(len(counts)), counts)
+        combined = next(partials)
+        for part in partials:
+            combined.merge(part)
     return combined
 
 
@@ -257,7 +260,7 @@ def mc_hoeffding_curve(
 
 # Class counts for 2..7 players, taken as exactly known: discovered counts
 # may fall short under a small budget.  The n = 7 value is contradicted:
-# discover_classes(7, 300000, seed=11) finds 11996 families, and a linear
+# discover_classes(7, 300000, seed=11) finds 11993 families, and a linear
 # program realizes every one of them as a weighted game whose winning and
 # losing coalition weights are at least 0.0137 apart, so they are not float
 # ties.  No verified count is at hand to replace it.
@@ -291,16 +294,6 @@ class GameClassCatalog:
         return {c.beta for c in self.classes}
 
 
-def _beta_from_family(n: int, masks) -> tuple[float, ...]:
-    omega = len(masks)
-    swing = []
-    for i in range(n):
-        member = sum(1 for m in masks if m >> i & 1)
-        swing.append(2 * member - omega)
-    denom = sum(swing)
-    return tuple(s / denom for s in swing)
-
-
 def _family_runs(win):
     """(key, games) for each distinct column of a (2^n, games) win table.
 
@@ -324,46 +317,46 @@ def _family_runs(win):
         yield key.tobytes()[:size], h
 
 
+class _FamilyHits(collections.Counter):
+    """Games per winning-family key; chunks merge by adding their hits."""
+
+    merge = collections.Counter.update
+
+
 def discover_classes(n: int, budget: int = 10 ** 6, seed=0) -> GameClassCatalog:
     """Sample random (weights, quota) games and catalog the distinct winning
     families over rank-ordered players.
 
     Weights are uniform on the simplex and sorted descending, so equal
     games up to the order isomorphism collapse to one family; the quota is
-    uniform on (1/2, 1].  Discovery is best effort: a class whose region
-    has small volume may need a large budget to appear, so the budget is
-    recorded alongside the result.  The n = 7 entry of
-    ``CLASS_COUNT_CEILINGS`` is in doubt: a large budget finds more families
-    than its 11971 (11996 at budget 300000, seed 11), each one a strictly
-    weighted game.
+    uniform on (1/2, 1].  Games are drawn and reduced in the Monte Carlo
+    estimators' 4096-game chunks, so game i depends only on
+    (seed, stream, i) and shorter runs are prefixes of longer ones: the
+    catalog at a smaller budget counts the first games of a larger one.
+    Discovery is best effort: a class whose region has small volume may
+    need a large budget to appear, so the budget is recorded alongside the
+    result.  The n = 7 entry of ``CLASS_COUNT_CEILINGS`` is in doubt: a
+    large budget finds more families than its 11971 (11993 at budget
+    300000, seed 11), each one a strictly weighted game.
     """
     if not (2 <= n <= 7):
         raise InvalidArgumentsError("class discovery supports 2 <= n <= 7")
     if budget < 1:
         raise InvalidArgumentsError("budget must be at least 1")
     base = as_seed(seed)
-    families: dict[bytes, int] = {}
-    remaining = budget
-    chunk_index = 0
-    while remaining > 0:
-        count = min(DISCOVERY_CHUNK, remaining)
-        rng = base.substream(chunk_index).generator()
-        weights = _simplex_rows(rng, n, count)
-        weights.sort(axis=1)
-        weights = weights[:, ::-1]
-        quotas = 1.0 - 0.5 * rng.random(count)  # uniform on (1/2, 1]
-        cols = _SUM_CELL_BUDGET >> n
-        for start in range(0, count, cols):
-            win = games._full_sums(weights[start:start + cols].T) >= quotas[start:start + cols]
-            for raw, hits in _family_runs(win):
-                families[raw] = families.get(raw, 0) + hits
-        remaining -= count
-        chunk_index += 1
+
+    def worker(index, count):
+        # A chunk's 2^n x 4096 table is at most 2^19 cells for n <= 7.
+        weights, quotas = _chunk_games(n, base, index, count)
+        return _FamilyHits(dict(_family_runs(games._full_sums(weights.T) >= quotas)))
+
     classes = []
-    for raw, hits in families.items():
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: 1 << n]
-        masks = tuple(int(m) for m in np.flatnonzero(bits))
-        classes.append(GameClass(masks, _beta_from_family(n, masks), hits))
+    for raw, hits in _run_chunks(worker, budget, 1).items():
+        wins = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: 1 << n]
+        masks = np.flatnonzero(wins)
+        member = np.array(games._member_sums(wins), dtype=np.int64)
+        beta = games._profile_from_counts(n, masks.size, member).beta
+        classes.append(GameClass(tuple(masks.tolist()), tuple(beta.tolist()), hits))
     classes.sort(key=lambda c: (-c.hits, c.winning_masks))
     return GameClassCatalog(n=n, budget=budget, classes=tuple(classes))
 

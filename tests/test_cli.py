@@ -320,6 +320,22 @@ class TestDeterminismAndRoundTrip:
         row = out_csv.read_text().strip().splitlines()[1]
         assert row.split(",")[4] == "64"
 
+    @pytest.mark.parametrize(
+        "setting,command",
+        [
+            ("samples=1e3", ["power-curve", "--n", "3", "--quotas", "0.6"]),
+            ("budget=1e4", ["classes", "--n", "3"]),
+        ],
+    )
+    def test_config_values_take_their_option_type(self, tmp_path, capsys, setting, command):
+        config = tmp_path / "votepower.conf"
+        config.write_text(setting + "\n")
+        code, out, err = run_cli(["--config", str(config)] + command, capsys)
+        assert code == 2
+        assert out == ""
+        option = setting.partition("=")[0]
+        assert f"argument --{option}: invalid int value" in err
+
 
 class TestPlotsAndFiles:
     def test_density_table_and_plot(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,13 @@ from votepower import (
     mc_power_curve,
 )
 from votepower import experiments, games
-from votepower.experiments import CLASS_COUNT_CEILINGS, QuotaCurve, _sorted_weight_chunk
+from votepower.experiments import (
+    CLASS_COUNT_CEILINGS,
+    MC_CHUNK,
+    QuotaCurve,
+    _sorted_weight_chunk,
+)
+from votepower.simplex import RandomSeed, _simplex_rows
 
 import reference
 
@@ -105,6 +112,26 @@ class TestColemanCurve:
         coleman = mc_coleman_curve(5, grid, samples=2 ** 12, seed=4)
         bound = mc_hoeffding_curve(5, grid, samples=2 ** 12, seed=4)
         assert np.all(coleman.mean <= bound.mean + 1e-12)
+
+
+class TestChunkReduction:
+    class Trail:
+        """A partial whose merge does not commute: it lists the chunks."""
+
+        def __init__(self, index, count):
+            self.chunks = [(index, count)]
+
+        def merge(self, other):
+            self.chunks += other.chunks
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partials_merge_in_chunk_order(self, workers):
+        def worker(index, count):
+            time.sleep(0.002 * (5 - index))  # later chunks finish first
+            return self.Trail(index, count)
+
+        trail = experiments._run_chunks(worker, 5 * MC_CHUNK + 7, workers)
+        assert trail.chunks == [(i, MC_CHUNK) for i in range(5)] + [(5, 7)]
 
 
 class TestMonteCarloAtTies:
@@ -231,6 +258,31 @@ class TestDiscoverClasses:
     def test_range_check(self):
         with pytest.raises(InvalidArgumentsError):
             discover_classes(8, budget=10)
+
+    def test_budget_past_a_chunk_adds_one_game(self):
+        # Game 4096 opens chunk 1: its weights are the chunk's first simplex
+        # row, and its quota 1 - U/2 takes the first uniform drawn after all
+        # of the chunk's weight rows.
+        n, seed = 5, RandomSeed(4)
+        rng = seed.substream(1).generator()
+        weights = np.sort(_simplex_rows(rng, n, MC_CHUNK)[0])[::-1]
+        game = VotingGame(weights, 1.0 - 0.5 * rng.random())
+        family = tuple(m for m in range(1 << n) if games.is_winning(game, m))
+
+        def catalog(budget):
+            classes = discover_classes(n, budget=budget, seed=seed).classes
+            return {c.winning_masks: (c.beta, c.hits) for c in classes}
+
+        expected = catalog(MC_CHUNK)
+        hits = expected.get(family, (None, 0))[1]
+        expected[family] = (tuple(banzhaf(game).beta.tolist()), hits + 1)
+        assert catalog(MC_CHUNK + 1) == expected
+
+    def test_shorter_budgets_are_prefixes(self):
+        for seed in range(50):
+            one = discover_classes(5, budget=1, seed=seed).classes
+            two = discover_classes(5, budget=2, seed=seed).classes
+            assert {c.winning_masks for c in one} <= {c.winning_masks for c in two}
 
 
 class TestCountExtrema:
