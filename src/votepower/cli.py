@@ -505,7 +505,11 @@ def _add_weight_args(sub, exact: bool = False):
         sub.add_argument("--quota-frac", help="quota as a fraction of total weight, e.g. 11/20")
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser(
+    config: dict | None = None, command: str | None = None
+) -> argparse.ArgumentParser:
+    """The votepower parser; a config (key -> value text) sets the defaults
+    of the named command's options."""
     parser = argparse.ArgumentParser(
         prog="votepower",
         description="Voting-power computations for weighted voting games "
@@ -614,13 +618,38 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_analytic)
 
-    if defaults:
-        # Subparsers re-apply their own defaults over the parent namespace,
-        # so config overrides must reach every subparser as well.
-        parser.set_defaults(**defaults)
-        for sub in commands.choices.values():
-            sub.set_defaults(**defaults)
+    if config and command in commands.choices:
+        _apply_config(commands.choices[command], command, config)
     return parser
+
+
+_FLAG_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _apply_config(sub: argparse.ArgumentParser, command: str, config: dict) -> None:
+    """Make the config values the command's option defaults.  A key must
+    name an option of the command, a flag takes true/false/1/0/yes/no, and
+    a value must be one of the option's choices; other values are kept as
+    text, which argparse parses with the option's own type."""
+    options = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
+    for key, value in config.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise argparse.ArgumentTypeError(f"config key {key!r} is not an option of {command}")
+        if isinstance(action, argparse._StoreTrueAction):
+            flag = _FLAG_VALUES.get(value.lower())
+            if flag is None:
+                raise argparse.ArgumentTypeError(
+                    f"config key {key!r} takes true/false/1/0/yes/no, got {value!r}"
+                )
+            value = flag
+        elif action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentTypeError(
+                f"config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}"
+            )
+        defaults[action.dest] = value
+    sub.set_defaults(**defaults)
 
 
 def _load_config(path: str) -> dict:
@@ -631,22 +660,33 @@ def _load_config(path: str) -> dict:
             if not line or line.startswith("#") or "=" not in line:
                 continue
             key, _, value = line.partition("=")
-            # Kept as strings: argparse parses a string default with its
-            # option's own type.
-            out[key.strip().replace("-", "_")] = value.strip()
+            out[key.strip()] = value.strip()
     return out
+
+
+def _command_name(argv: list) -> str | None:
+    """The subcommand token: the first argument that is not a top-level
+    option (--config takes a value)."""
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 2 if argv[i] == "--config" else 1
+    return argv[i] if i < len(argv) else None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    defaults = {}
+    config = {}
     if "--config" in argv:
         try:
-            defaults = _load_config(argv[argv.index("--config") + 1])
+            config = _load_config(argv[argv.index("--config") + 1])
         except (IndexError, OSError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-    parser = build_parser(defaults)
+    try:
+        parser = build_parser(config, _command_name(argv))
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

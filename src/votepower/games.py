@@ -240,33 +240,59 @@ def _member_sums(per_mask: np.ndarray) -> list[int]:
 def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     """Meet-in-the-middle winning counts, O(2^(n/2) n) time.  n <= 48.
 
-    The B-half sums are sorted once; one search per A sum finds the first
-    sorted B position that wins against it.  Float searches go against
-    q - a, and candidates within a small window of that boundary are
-    re-checked with the defining predicate fl(a + b) >= q, which is
-    monotone in b, so the re-checked boundary is exact.  Wins per A mask
-    are the B positions from there on; wins per B mask are the A sums
-    whose boundary lies at or below it, so one histogram of the
-    boundaries credits both halves.  Output is identical to
-    count_winning_naive: the kernels share one coalition-weight arithmetic.
+    Both halves' sums are sorted.  The A sums are visited in descending
+    order, so the search keys (q - a, or target - den * a in exact mode)
+    ascend and each search starts from the previous one's result.  One
+    search per A sum finds the first sorted B position that wins against
+    it.  Float searches go against q - a, and where a candidate lies
+    within a small window of that boundary the window is re-checked with
+    the defining predicate fl(a + b) >= q, which is monotone in b, so the
+    re-checked boundary is exact.  Wins per A mask are the B positions
+    from there on; wins per B mask are the A sums whose boundary lies at
+    or below it, so one histogram of the boundaries credits both halves.
+    The order among equal sums cannot change a count: no boundary falls
+    between equal B sums (a search never splits equal values, and the
+    predicate gives equal b the same answer), and the histogram does not
+    depend on the A order.  Output is identical to count_winning_naive:
+    the kernels share one coalition-weight arithmetic.
     """
     n = game.n
     if n > MITM_BUDGET:
         raise BudgetExceededError(f"meet-in-the-middle supports n <= {MITM_BUDGET}")
     sa, sb = _split_sums(_kernel_weights(game))
-    order = np.argsort(sb, kind="stable")
-    sorted_b = sb[order]
+    # The grand coalition's weight is 1.0 by definition; the raw pair
+    # comparison may disagree (q <= 1 means it always wins).
+    raw_grand = game.exact or sa[-1] + sb[-1] >= game.quota
+    # Each half-size array is dropped after its last use: peak memory is
+    # a handful of 2^(n/2)-entry arrays.
+    b_order = np.argsort(sb)
+    sorted_b = sb[b_order]
+    del sb
+    a_order = np.argsort(sa)[::-1]
+    sa = sa[a_order]
+    size = sorted_b.size
     if game.exact:
         target, den = _winning_threshold(game)
-        first = np.searchsorted(den * sorted_b, target - den * sa, side="left")
+        sorted_b *= den
+        sa *= den
+        first = np.searchsorted(sorted_b, np.subtract(target, sa, out=sa), side="left")
     else:
         quota = game.quota
-        thresholds = quota - sa
-        first = np.searchsorted(sorted_b, thresholds - _TIE_WINDOW, side="left")
-        high = np.searchsorted(sorted_b, thresholds + _TIE_WINDOW, side="right")
+        edges = quota - sa
+        edges -= _TIE_WINDOW
+        first = np.searchsorted(sorted_b, edges, side="left")
+        # An A sum's window needs bisecting only where its first candidate
+        # sorted_b[first] is at most (q - a) + window.  first is
+        # non-decreasing, so the A sums with no candidate (first == size)
+        # are a suffix.
+        np.subtract(quota, sa, out=edges)
+        edges += _TIE_WINDOW
+        stop = int(np.searchsorted(first, size))
+        open_ = np.flatnonzero(sorted_b[first[:stop]] <= edges[:stop])
+        lo = first[open_]
+        hi = np.searchsorted(sorted_b, edges[open_], side="right")
+        del edges
         # Bisect each window for its first winner, all windows at once.
-        open_ = np.flatnonzero(first < high)
-        lo, hi = first[open_], high[open_]
         while open_.size:
             mid = (lo + hi) // 2
             wins = sa[open_] + sorted_b[mid] >= quota
@@ -275,20 +301,19 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
             done = lo == hi
             first[open_[done]] = lo[done]
             open_, lo, hi = open_[~done], lo[~done], hi[~done]
+    del sa, sorted_b
 
-    per_a = sb.size - first
-    per_b = np.empty(sb.size, dtype=np.int64)
-    per_b[order] = np.cumsum(np.bincount(first, minlength=sb.size + 1))[:-1]
+    per_b = np.empty(size, dtype=np.int64)
+    wins_below = np.bincount(first, minlength=size + 1)
+    per_b[b_order] = np.cumsum(wins_below, out=wins_below)[:-1]
+    del b_order, wins_below
+    per_a = np.empty(a_order.size, dtype=np.int64)
+    per_a[a_order] = np.subtract(size, first, out=first)
     omega = int(per_a.sum())
     member = np.array(_member_sums(per_a) + _member_sums(per_b), dtype=np.int64)
-
-    if not game.exact:
-        # The grand coalition's weight is 1.0 by definition; adjust if the
-        # raw pair comparison disagreed (q <= 1 means it always wins).
-        raw_grand = sa[-1] + sb[-1] >= game.quota
-        if not raw_grand:
-            omega += 1
-            member += 1
+    if not raw_grand:
+        omega += 1
+        member += 1
     return omega, member
 
 

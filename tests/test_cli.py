@@ -336,6 +336,51 @@ class TestDeterminismAndRoundTrip:
         option = setting.partition("=")[0]
         assert f"argument --{option}: invalid int value" in err
 
+    @pytest.mark.parametrize("value", ["0", "false", "No"])
+    def test_config_flag_can_be_false(self, tmp_path, capsys, value):
+        config = tmp_path / "votepower.conf"
+        config.write_text(f"sum-sq={value}\n")
+        code, out, err = run_cli(["--config", str(config), "moments", "--n", "4"], capsys)
+        # as without the key: moments needs at least one quantity
+        assert code == 2 and out == ""
+        assert "--sum-sq" in err
+
+    @pytest.mark.parametrize("value", ["1", "TRUE", "yes"])
+    def test_config_flag_can_be_true(self, tmp_path, capsys, value):
+        config = tmp_path / "votepower.conf"
+        config.write_text(f"sum-sq={value}\n")
+        code, out, _ = run_cli(["--config", str(config), "moments", "--n", "4"], capsys)
+        assert code == 0
+        assert out == run_cli(["moments", "--n", "4", "--sum-sq"], capsys)[1]
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ("sum-sq=maybe", "'sum-sq' takes true/false/1/0/yes/no"),
+            ("format=xml", "'format' must be one of csv, json"),
+        ],
+    )
+    def test_config_rejects_bad_values(self, tmp_path, capsys, setting, message):
+        config = tmp_path / "votepower.conf"
+        config.write_text(setting + "\n")
+        code, out, err = run_cli(
+            ["--config", str(config), "moments", "--n", "4", "--sum-sq"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("setting", ["sample=64", "method=foo", "samples=64"])
+    def test_config_rejects_keys_of_no_option(self, tmp_path, capsys, setting):
+        # none of these is an option of `classes`
+        config = tmp_path / "votepower.conf"
+        config.write_text(setting + "\n")
+        code, out, err = run_cli(
+            ["--config", str(config), "classes", "--n", "3", "--budget", "10"], capsys
+        )
+        assert code == 2 and out == ""
+        key = setting.partition("=")[0]
+        assert err.startswith("error:") and f"config key {key!r}" in err
+
 
 class TestPlotsAndFiles:
     def test_density_table_and_plot(self, tmp_path, capsys):

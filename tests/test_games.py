@@ -140,6 +140,72 @@ class TestCounting:
         assert na[0] == nb[0]
         assert na[1].tolist() == nb[1].tolist()
 
+    @pytest.mark.parametrize("kind", ["one-two", "equal"])
+    @pytest.mark.parametrize("n", range(17, 23))
+    def test_mitm_matches_naive_next_to_tied_sums(self, n, kind):
+        # Every B sum lies in a large group of equal sums, whatever order
+        # the sort leaves them in.  The quota sits at a computed coalition
+        # sum and up to 2 ulps either side of it (float), or up to 2/4 of a
+        # unit either side (exact mode).
+        if kind == "one-two":
+            # weights 1/32 and 2/32, so every coalition sum is exact
+            units = [2] * (32 - n) + [1] * (2 * n - 32)
+            units = np.random.default_rng(n).permutation(units).tolist()
+        else:
+            units = [1] * n
+        total = sum(units)
+        coalition = range(-(-2 * n // 3))
+        weights = np.array(units, dtype=float) / total
+        at_sum = games._full_sums(weights)[(1 << len(coalition)) - 1]
+        part = sum(units[i] for i in coalition)
+        for step in range(-2, 3):
+            quota = at_sum
+            for _ in range(abs(step)):
+                quota = np.nextafter(quota, np.sign(step))
+            for g in (
+                VotingGame(weights, float(quota)),
+                VotingGame.from_integers(units, 4 * part + step, 4 * total),
+            ):
+                na, nb = count_winning_naive(g), count_winning_mitm(g)
+                assert na[0] == nb[0]
+                assert na[1].tolist() == nb[1].tolist()
+
+    def test_mitm_traced_peak(self):
+        # One n = 36 float count holds a few 2^18-entry (2 MiB) arrays at
+        # once.  Measured with numpy 2.4: the earlier pass (stable sort, a
+        # full search for both window edges, no early frees) peaked at
+        # 22.0 MiB, this one at 14.25 MiB.
+        import tracemalloc
+
+        g = VotingGame(sample_uniform_simplex(36, RandomSeed(0)), 0.6)
+        tracemalloc.start()
+        try:
+            count_winning_mitm(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22.0 * 2 ** 20
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("n", [26, 28])
+    def test_mitm_matches_streaming_enumeration(self, n):
+        rng = np.random.default_rng(n)
+        dyadic = np.array(dyadic_weights(n))
+        ints = rng.integers(1, 10 ** 6, size=n).tolist()
+        cases = [
+            VotingGame(sample_uniform_simplex(n, RandomSeed(n)), 0.6),
+            VotingGame(sample_uniform_simplex(n, RandomSeed(n + 1)), 0.85),
+            VotingGame.from_integers(ints, 3, 5),
+            VotingGame.from_integers(ints, 7, 8),
+        ]
+        at_sum = games._full_sums(dyadic)[(1 << (2 * n // 3)) - 1]
+        for quota in (np.nextafter(at_sum, 0), at_sum, np.nextafter(at_sum, 1)):
+            cases.append(VotingGame(dyadic, float(quota)))
+        for g in cases:
+            na, nb = count_winning_naive(g), count_winning_mitm(g)
+            assert na[0] == nb[0]
+            assert na[1].tolist() == nb[1].tolist()
+
     @pytest.mark.parametrize(
         "g",
         [
