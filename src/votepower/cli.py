@@ -664,33 +664,21 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _command_name(argv: list) -> str | None:
-    """The subcommand token: the first argument that is not a top-level
-    option (--config takes a value)."""
-    i = 0
-    while i < len(argv) and argv[i].startswith("-"):
-        i += 2 if argv[i] == "--config" else 1
-    return argv[i] if i < len(argv) else None
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    config = {}
-    if "--config" in argv:
-        try:
-            config = _load_config(argv[argv.index("--config") + 1])
-        except (IndexError, OSError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
     try:
-        parser = build_parser(config, _command_name(argv))
+        args = build_parser().parse_args(argv)
+        if args.config is not None:
+            try:
+                config = _load_config(args.config)
+            except OSError as exc:
+                print(f"error: cannot read config: {exc}", file=sys.stderr)
+                return 2
+            args = build_parser(config, args.command).parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     try:
         if "workers" in args and args.workers is None:
             args.workers = int(os.environ.get("VOTEPOWER_WORKERS", "1"))

@@ -10,14 +10,18 @@ each half's subset sums are accumulated in increasing index order, and a
 coalition's weight is its A-part plus its B-part.  The grand coalition's
 weight is pinned to exactly 1.0, which the weight-vector invariant
 licenses (entries sum to 1 up to 1e-12) and which makes q = 1 behave like
-the real game.  Every kernel takes its coalition weights from here, the
-Monte Carlo estimators and class discovery included, so the
-meet-in-the-middle counter reproduces full enumeration bit for bit, ties
-included, and a sampled game's Monte Carlo profile equals its exact one.
+the real game: the grand coalition always wins.  Every kernel takes its
+coalition weights from here, the Monte Carlo estimators and class
+discovery included, so the meet-in-the-middle counter reproduces full
+enumeration bit for bit, ties included, and a sampled game's Monte Carlo
+profile equals its exact one.  Full enumeration sums and compares every
+coalition, one block of B masks against all A masks at a time.
 
 For inputs where float ties at the quota are a real concern, build the
-game from integer weights and a rational quota (``VotingGame.from_integers``):
-every comparison then happens in exact integer arithmetic.
+game from integer weights and a rational quota num/den
+(``VotingGame.from_integers``).  The predicate stays sum >= threshold, on
+the integer weights scaled by den against the threshold num * total, so
+every comparison happens in exact int64 arithmetic.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .simplex import as_weight_vector
 
 NAIVE_BUDGET = 30      # full 2^n enumeration
 MITM_BUDGET = 48       # meet in the middle, 2^(n/2) memory
-DENSE_BUDGET = 24      # largest n whose 2^n sum array is materialized whole
 CURVE_BUDGET = 20      # quota curves keep n counts per breakpoint, up to 2^(n-1)
 
 # Float comparisons against the quota go through "count b >= q - a" searches;
@@ -41,12 +44,32 @@ CURVE_BUDGET = 20      # quota curves keep n counts per breakpoint, up to 2^(n-1
 _TIE_WINDOW = 32 * np.finfo(np.float64).eps
 
 _BIN_CELL_BITS = 16    # finest binning cell, 2^-16 wide
-_BIN_BLOCK = 1 << 15   # sums binned per pass
+_BIN_BLOCK = 1 << 15   # sums binned (or compared) per pass
+
+
+def _exact_floats(ints: tuple[int, ...], num: int, den: int):
+    """The float weights and quota of an exact-mode game, ints / total and
+    num / den, once the exact fields are checked: integer weights
+    non-negative and not all zero, num / den in (1/2, 1], and den * total
+    below 2^62, so every scaled coalition sum fits in int64."""
+    total = sum(ints)
+    if any(v < 0 for v in ints) or total <= 0:
+        raise InvalidArgumentsError("integer weights must be non-negative, not all zero")
+    if den <= 0 or not (2 * num > den and num <= den):
+        raise InvalidArgumentsError("quota fraction must lie in (1/2, 1]")
+    if den * total >= (1 << 62):
+        raise InvalidArgumentsError("integer weights too large for exact 64-bit kernels")
+    return np.array(ints, dtype=np.float64) / total, num / den
 
 
 @dataclass(frozen=True, eq=False)
 class VotingGame:
-    """Weight vector plus qualified-majority quota in (1/2, 1]."""
+    """Weight vector plus qualified-majority quota in (1/2, 1].
+
+    In exact mode ``int_weights`` and ``quota_fraction`` (num, den) are the
+    game, and ``weights`` and ``quota`` must equal ints / total and
+    num / den.
+    """
 
     weights: np.ndarray
     quota: float
@@ -64,21 +87,25 @@ class VotingGame:
             raise InvalidArgumentsError(
                 "exact mode needs both integer weights and a quota fraction"
             )
+        if self.int_weights is None:
+            return
+        ints = tuple(int(v) for v in self.int_weights)
+        num, den = (int(v) for v in self.quota_fraction)
+        floats, quota = _exact_floats(ints, num, den)
+        if not (np.array_equal(w, floats) and q == quota):
+            raise InvalidArgumentsError(
+                "exact mode needs weights == int_weights / total and quota == num / den"
+            )
+        object.__setattr__(self, "int_weights", ints)
+        object.__setattr__(self, "quota_fraction", (num, den))
 
     @classmethod
     def from_integers(cls, weights, quota_num: int, quota_den: int) -> "VotingGame":
         """Exact-mode game: integer weights, quota given as num/den of the total."""
         ints = tuple(int(v) for v in weights)
-        if any(v < 0 for v in ints) or sum(ints) <= 0:
-            raise InvalidArgumentsError("integer weights must be non-negative, not all zero")
         num, den = int(quota_num), int(quota_den)
-        if den <= 0 or not (2 * num > den and num <= den):
-            raise InvalidArgumentsError("quota fraction must lie in (1/2, 1]")
-        total = sum(ints)
-        if den * total >= (1 << 62):
-            raise InvalidArgumentsError("integer weights too large for exact 64-bit kernels")
-        floats = np.array(ints, dtype=np.float64) / total
-        return cls(floats, num / den, int_weights=ints, quota_fraction=(num, den))
+        floats, quota = _exact_floats(ints, num, den)
+        return cls(floats, quota, int_weights=ints, quota_fraction=(num, den))
 
     @property
     def n(self) -> int:
@@ -121,11 +148,14 @@ def _accumulated_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel_weights(game: VotingGame) -> np.ndarray:
-    """The weights the counting kernels add: int64 in exact mode."""
-    if game.exact:
-        return np.array(game.int_weights, dtype=np.int64)
-    return game.weights
+def _kernel_inputs(game: VotingGame):
+    """(weights, threshold) of the one win predicate sum >= threshold:
+    (weights, q) in float mode; in exact mode the int64 integer weights
+    scaled by den, against num * total."""
+    if not game.exact:
+        return game.weights, game.quota
+    num, den = game.quota_fraction
+    return den * np.array(game.int_weights, dtype=np.int64), num * sum(game.int_weights)
 
 
 def _split_sums(weights: np.ndarray):
@@ -145,89 +175,47 @@ def _full_sums(weights: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _winning_threshold(game: VotingGame):
-    """Exact mode: coalition wins iff den * sum >= num * total."""
-    num, den = game.quota_fraction
-    return num * sum(game.int_weights), den
-
-
 def is_winning(game: VotingGame, coalition: int) -> bool:
     """Does the coalition (an n-bit member mask) reach the quota?"""
     n = game.n
     if not (0 <= coalition < (1 << n)):
         raise InvalidArgumentsError("coalition mask has bits beyond the player count")
-    members = [i for i in range(n) if coalition >> i & 1]
-    if game.exact:
-        target, den = _winning_threshold(game)
-        return den * sum(game.int_weights[i] for i in members) >= target
     if coalition == (1 << n) - 1:
-        return 1.0 >= game.quota
+        return True
+    weights, threshold = _kernel_inputs(game)
     h, _ = _half_sizes(n)
-    part_a = 0.0
-    part_b = 0.0
-    for i in members:
-        if i < h:
-            part_a += game.weights[i]
-        else:
-            part_b += game.weights[i]
-    return part_a + part_b >= game.quota
-
-
-def _mask_has_bit(size_bits: int, bit: int) -> np.ndarray:
-    return (np.arange(1 << size_bits, dtype=np.uint32) >> bit & 1).astype(bool)
+    part_a = sum(weights[i] for i in range(h) if coalition >> i & 1)
+    part_b = sum(weights[i] for i in range(h, n) if coalition >> i & 1)
+    return bool(part_a + part_b >= threshold)
 
 
 def count_winning_naive(game: VotingGame) -> tuple[int, np.ndarray]:
     """Count winning coalitions, and per player those containing them,
-    by enumerating all 2^n coalitions.  n <= 30."""
+    by enumerating all 2^n coalitions.  n <= 30.
+
+    Each block of B masks is added to every A sum and compared with the
+    threshold; the wins are counted per A mask and per B mask, and each
+    player's count is the sum over the masks of its half with its bit set.
+    """
     n = game.n
     if n > NAIVE_BUDGET:
         raise BudgetExceededError(
             f"naive enumeration supports n <= {NAIVE_BUDGET}; "
             "use count_winning_mitm for larger games"
         )
-    if game.exact:
-        target, den = _winning_threshold(game)
-
-        def wins(row):
-            return den * row >= target
-    else:
-        quota = game.quota
-
-        def wins(row):
-            return row >= quota
-
-    weights = _kernel_weights(game)
-    if n <= DENSE_BUDGET:
-        win = wins(_full_sums(weights))
-        omega = int(np.count_nonzero(win))
-        winners = np.flatnonzero(win).astype(np.uint32)
-        member = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            member[i] = int(np.count_nonzero(winners >> np.uint32(i) & np.uint32(1)))
-        return omega, member
-
-    # Streaming variant for 24 < n <= 30: one B-mask row at a time.
-    h, r = _half_sizes(n)
+    weights, threshold = _kernel_inputs(game)
     sa, sb = _split_sums(weights)
-    bits_a = [_mask_has_bit(h, i) for i in range(h)]
-    omega = 0
-    member = np.zeros(n, dtype=np.int64)
-    for mb in range(1 << r):
-        row = sa + sb[mb]
-        if not game.exact and mb == (1 << r) - 1:
-            row[-1] = 1.0
-        win = wins(row)
-        count = int(np.count_nonzero(win))
-        if count == 0:
-            continue
-        omega += count
-        for i in range(h):
-            member[i] += int(np.count_nonzero(win & bits_a[i]))
-        for j in range(r):
-            if mb >> j & 1:
-                member[h + j] += count
-    return omega, member
+    per_a = np.zeros(sa.size, dtype=np.int64)
+    per_b = np.empty(sb.size, dtype=np.int64)
+    span = max(1, _BIN_BLOCK // sa.size)
+    for start in range(0, sb.size, span):
+        win = sb[start:start + span, None] + sa >= threshold
+        if start + span >= sb.size:
+            win[-1, -1] = True  # the grand coalition
+        per_a += np.count_nonzero(win, axis=0)
+        per_b[start:start + span] = np.count_nonzero(win, axis=1)
+    member = np.array(_member_sums(per_a) + _member_sums(per_b), dtype=np.int64)
+    return int(per_a.sum()), member
 
 
 def _member_sums(per_mask: np.ndarray) -> list[int]:
@@ -241,10 +229,10 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     """Meet-in-the-middle winning counts, O(2^(n/2) n) time.  n <= 48.
 
     Both halves' sums are sorted.  The A sums are visited in descending
-    order, so the search keys (q - a, or target - den * a in exact mode)
-    ascend and each search starts from the previous one's result.  One
-    search per A sum finds the first sorted B position that wins against
-    it.  Float searches go against q - a, and where a candidate lies
+    order, so the search keys threshold - a ascend and each search starts
+    from the previous one's result.  One search per A sum finds the first
+    sorted B position that wins against it; in exact mode that search is
+    exact.  Float searches go against q - a, and where a candidate lies
     within a small window of that boundary the window is re-checked with
     the defining predicate fl(a + b) >= q, which is monotone in b, so the
     re-checked boundary is exact.  Wins per A mask are the B positions
@@ -259,10 +247,10 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     n = game.n
     if n > MITM_BUDGET:
         raise BudgetExceededError(f"meet-in-the-middle supports n <= {MITM_BUDGET}")
-    sa, sb = _split_sums(_kernel_weights(game))
-    # The grand coalition's weight is 1.0 by definition; the raw pair
-    # comparison may disagree (q <= 1 means it always wins).
-    raw_grand = game.exact or sa[-1] + sb[-1] >= game.quota
+    weights, threshold = _kernel_inputs(game)
+    sa, sb = _split_sums(weights)
+    # The grand coalition always wins; the raw float pair sum may not.
+    raw_grand = sa[-1] + sb[-1] >= threshold
     # Each half-size array is dropped after its last use: peak memory is
     # a handful of 2^(n/2)-entry arrays.
     b_order = np.argsort(sb)
@@ -272,20 +260,16 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     sa = sa[a_order]
     size = sorted_b.size
     if game.exact:
-        target, den = _winning_threshold(game)
-        sorted_b *= den
-        sa *= den
-        first = np.searchsorted(sorted_b, np.subtract(target, sa, out=sa), side="left")
+        first = np.searchsorted(sorted_b, np.subtract(threshold, sa, out=sa), side="left")
     else:
-        quota = game.quota
-        edges = quota - sa
+        edges = threshold - sa
         edges -= _TIE_WINDOW
         first = np.searchsorted(sorted_b, edges, side="left")
         # An A sum's window needs bisecting only where its first candidate
         # sorted_b[first] is at most (q - a) + window.  first is
         # non-decreasing, so the A sums with no candidate (first == size)
         # are a suffix.
-        np.subtract(quota, sa, out=edges)
+        np.subtract(threshold, sa, out=edges)
         edges += _TIE_WINDOW
         stop = int(np.searchsorted(first, size))
         open_ = np.flatnonzero(sorted_b[first[:stop]] <= edges[:stop])
@@ -295,7 +279,7 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
         # Bisect each window for its first winner, all windows at once.
         while open_.size:
             mid = (lo + hi) // 2
-            wins = sa[open_] + sorted_b[mid] >= quota
+            wins = sa[open_] + sorted_b[mid] >= threshold
             hi = np.where(wins, mid, hi)
             lo = np.where(wins, lo, mid + 1)
             done = lo == hi

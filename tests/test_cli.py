@@ -382,6 +382,31 @@ class TestDeterminismAndRoundTrip:
         assert err.startswith("error:") and f"config key {key!r}" in err
 
 
+    @pytest.mark.parametrize("spelling", ["separate", "joined"])
+    def test_config_read_in_both_spellings(self, tmp_path, capsys, spelling):
+        def config(text):
+            path = tmp_path / "votepower.conf"
+            path.write_text(text)
+            return ["--config", str(path)] if spelling == "separate" else [f"--config={path}"]
+
+        code, out, err = run_cli(
+            config("samples=zzz\n") + ["classes", "--n", "3", "--budget", "10"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "config key 'samples'" in err
+        code, out, _ = run_cli(config("sum-sq=1\n") + ["moments", "--n", "4"], capsys)
+        assert code == 0
+        assert out == run_cli(["moments", "--n", "4", "--sum-sq"], capsys)[1]
+
+    @pytest.mark.parametrize("spelling", ["separate", "joined"])
+    def test_missing_config_file(self, tmp_path, capsys, spelling):
+        path = tmp_path / "absent.conf"
+        option = ["--config", str(path)] if spelling == "separate" else [f"--config={path}"]
+        code, out, err = run_cli(option + ["moments", "--n", "4", "--sum-sq"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read config")
+
+
 class TestPlotsAndFiles:
     def test_density_table_and_plot(self, tmp_path, capsys):
         csv_path = tmp_path / "density.csv"
