@@ -143,7 +143,10 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _parse_fraction(text: str) -> tuple[int, int]:
-    frac = Fraction(text)
+    try:
+        frac = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"quota fraction {text!r} has a zero denominator") from None
     return frac.numerator, frac.denominator
 
 

@@ -24,7 +24,12 @@ from .simplex import _simplex_rows, as_seed
 
 MC_CHUNK = 4096
 MC_KERNEL_BUDGET = 18          # vectorized per-sample enumeration cap
-_SUM_CELL_BUDGET = 1 << 22     # cap on 2^n * block_columns cells in memory
+# 2^n * block columns.  It fixes the reduction blocks, whose sums, squares
+# and ranges give every output bit, so changing it changes the bits.
+_SUM_CELL_BUDGET = 1 << 22
+# Cells a tile of counting holds: per sample its 2^n sums, which become its
+# bin keys, and its histogram entries.  It sets only cache residency.
+_TILE_CELL_BUDGET = 1 << 18
 
 
 def default_quota_grid() -> np.ndarray:
@@ -89,10 +94,11 @@ class _Accumulator:
         self.high = np.full(shape, -np.inf)
 
     def add(self, values, axis):
+        """Take in ``values``, which is squared in place."""
         self.total += values.sum(axis=axis)
-        self.total_sq += (values * values).sum(axis=axis)
         self.low = np.minimum(self.low, values.min(axis=axis))
         self.high = np.maximum(self.high, values.max(axis=axis))
+        self.total_sq += np.square(values, out=values).sum(axis=axis)
 
     def merge(self, other):
         self.total += other.total
@@ -113,49 +119,66 @@ class _Accumulator:
         return mean, stderr
 
 
-def _winning_blocks(weights, grid, members):
-    """Winning counts over the grid for blocks of a chunk's samples, each
-    block's coalition-sum table within the cell budget."""
+def _blocks(weights):
+    """A chunk's accumulation blocks, ``_SUM_CELL_BUDGET >> n`` samples each."""
     cols = max(1, _SUM_CELL_BUDGET >> weights.shape[1])
     for start in range(0, len(weights), cols):
-        yield games._winning_counts(
-            games._full_sums(weights[start:start + cols].T), grid, members
-        )
+        yield weights[start:start + cols]
+
+
+def _tile_counts(block, grid, members):
+    """(columns, omega, member) for each tile of a block's samples.
+
+    A tile is as many samples as keep its coalition sums, bin keys and
+    histogram within ``_TILE_CELL_BUDGET`` cells; every sample's counts are
+    computed on its own, so the tiling changes no count.
+    """
+    n = block.shape[1]
+    per_column = (1 << n) + (grid.size + 1) * (n if members else 1)
+    width = min(len(block), max(1, _TILE_CELL_BUDGET // per_column))
+    table = np.empty(width << n)   # each tile's sums, then its bin keys
+    for start in range(0, len(block), width):
+        tile = block[start:start + width]
+        sums = games._full_sums(tile.T, out=table[:len(tile) << n])
+        omega, member = games._winning_counts(sums, grid, members)
+        yield slice(start, start + len(tile)), omega, member
 
 
 def _power_values(weights, grid, statistic):
-    """Per-sample index profiles over (grid, ranks), largest first.
+    """Per-sample index profiles over (grid, ranks), largest first, one
+    (grid, n, block) array per accumulation block, filled tile by tile.
 
     The weights come sorted descending and swings are monotone in weight,
-    so the profiles normally are already in rank order; a block with any
-    profile out of order is sorted.  The values are non-negative and never
-    NaN, so either way the bits are the same.
+    so the swings normally are already in rank order; a tile with any
+    profile out of order is sorted.  Sorting the integer swings before the
+    division gives the bits that sorting the values would, since the
+    division is monotone and a profile's swing total does not depend on
+    the order.
     """
-    scale = float(2 ** (weights.shape[1] - 1))
-    for omega, swing in _winning_blocks(weights, grid, members=True):
-        swing *= 2
-        swing -= omega[:, None]
-        # Values overwrite the integer swings one quota at a time, so no
-        # second (grid, n, block) array is held.
-        values = swing.view(np.float64)
-        ordered = True
-        for g in range(grid.size):
+    n = weights.shape[1]
+    scale = float(2 ** (n - 1))
+    for block in _blocks(weights):
+        values = np.empty((grid.size, n, len(block)))
+        for cols, omega, swing in _tile_counts(block, grid, members=True):
+            swing *= 2
+            swing -= omega[:, None]
+            if not (swing[:, :-1] >= swing[:, 1:]).all():
+                swing.sort(axis=1)
+                swing = swing[:, ::-1]
             if statistic == "psi":
-                np.divide(swing[g], scale, out=values[g])
+                np.divide(swing, scale, out=values[..., cols])
             else:
-                np.divide(swing[g], swing[g].sum(axis=0), out=values[g])
-            ordered = ordered and bool((values[g, :-1] >= values[g, 1:]).all())
-        if ordered:
-            yield values
-        else:
-            values.sort(axis=1)
-            yield values[:, ::-1]
+                np.divide(swing, swing.sum(axis=1, keepdims=True), out=values[..., cols])
+        yield values
 
 
 def _coleman_values(weights, grid):
     scale = 2.0 ** (-weights.shape[1])
-    for omega, _ in _winning_blocks(weights, grid, members=False):
-        yield omega * scale
+    for block in _blocks(weights):
+        values = np.empty((grid.size, len(block)))
+        for cols, omega, _ in _tile_counts(block, grid, members=False):
+            np.multiply(omega, scale, out=values[:, cols])
+        yield values
 
 
 def _hoeffding_values(weights, grid):

@@ -164,12 +164,15 @@ def _split_sums(weights: np.ndarray):
     return _accumulated_sums(weights[:h]), _accumulated_sums(weights[h:])
 
 
-def _full_sums(weights: np.ndarray) -> np.ndarray:
+def _full_sums(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """All 2^n coalition weights; mask = (b_mask << h) | a_mask.  An (n, block)
-    matrix of games gives a (2^n, block) table.  Float sums have the grand
-    coalition pinned to 1.0."""
+    matrix of games gives a (2^n, block) table, written into the contiguous
+    ``out`` if one is given.  Float sums have the grand coalition pinned to
+    1.0."""
     sa, sb = _split_sums(weights)
-    sums = (sb[:, None] + sa[None, :]).reshape((-1,) + sa.shape[1:])
+    if out is not None:
+        out = out.reshape(sb.shape[:1] + sa.shape)
+    sums = np.add(sb[:, None], sa[None, :], out=out).reshape((-1,) + sa.shape[1:])
     if sums.dtype.kind == "f":
         sums[-1] = 1.0
     return sums
@@ -404,39 +407,44 @@ def _level_table(levels: np.ndarray):
     return scale, at_or_below[:-1].astype(np.int64), level_after, steps
 
 
-def _bin_keys(sums: np.ndarray, levels: np.ndarray) -> np.ndarray:
+def _bin_keys(sums: np.ndarray, levels: np.ndarray, out: np.ndarray | None = None):
     """bin * cols + column for every entry of a (rows, cols) table of sums
     >= 0, where bin = searchsorted(levels, sum, side="right"), found exactly
-    by table lookup.
+    by table lookup.  A contiguous ``out``, which may be the table itself
+    viewed as int64, receives the keys.
 
     s * 2^k is exact, so its integer part is the cell holding s, and the
     table gives the levels at or below that cell's left edge.  Each step
     ``bin += s >= level_after[bin]`` then counts one more level inside the
-    cell; as many steps as the fullest cell holds finish every sum.  Rows
-    go through in blocks of about ``_BIN_BLOCK`` sums with fixed scratch,
-    which stays in cache.
+    cell; as many steps as the fullest cell holds finish every sum.  Whole
+    rows go through in flat blocks of about ``_BIN_BLOCK`` sums with fixed
+    scratch, which stays in cache; a block's keys are written only once its
+    sums are read.
     """
     rows, cols = sums.shape
     scale, table, level_after, steps = _level_table(levels)
-    span = max(1, _BIN_BLOCK // cols)
-    keys = np.empty((rows, cols), dtype=np.int64)
-    cell = np.empty((span, cols), dtype=np.int64)
-    bound = np.empty((span, cols))
-    above = np.empty((span, cols), dtype=bool)
-    column = np.arange(cols)
-    for start in range(0, rows, span):
-        s = sums[start:start + span]
-        k = keys[start:start + span]
+    flat = sums.reshape(-1)
+    keys = np.empty(flat.size, dtype=np.int64) if out is None else out.reshape(-1)
+    block = max(cols, min(_BIN_BLOCK // cols * cols, flat.size))  # whole rows
+    cell = np.empty(block, dtype=np.int64)
+    bins = np.empty(block, dtype=np.int64)
+    bound = np.empty(block)
+    above = np.empty(block, dtype=bool)
+    column = np.tile(np.arange(cols), block // cols)
+    for start in range(0, flat.size, block):
+        s = flat[start:start + block]
         m = len(s)
+        b = bins[:m]
         np.multiply(s, scale, out=cell[:m], casting="unsafe")
-        np.take(table, cell[:m], out=k, mode="clip")
+        np.take(table, cell[:m], out=b, mode="clip")
         for _ in range(steps):
-            np.take(level_after, k, out=bound[:m])
+            np.take(level_after, b, out=bound[:m])
             np.greater_equal(s, bound[:m], out=above[:m])
-            k += above[:m]
-        k *= cols
-        k += column
-    return keys
+            b += above[:m]
+        k = keys[start:start + m]
+        np.multiply(b, cols, out=k)
+        k += column[:m]
+    return keys.reshape(rows, cols)
 
 
 def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True):
@@ -449,14 +457,14 @@ def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True):
     game (and per player over that player's masks) and suffix sums over the
     bins give every count at once.  Returns int64 ``omega`` of shape
     (levels, *games) and, if ``members``, ``member`` of shape
-    (levels, n, *games).  A table passed as a temporary is freed once binned.
+    (levels, n, *games).  The table is overwritten by its bin keys.
     """
     rows, columns = sums.shape[0], sums.shape[1:]
     n = rows.bit_length() - 1
     cols = math.prod(columns)
     # key = bin * cols + column: one bincount covers every game's bins
-    keys = _bin_keys(sums.reshape(rows, cols), levels)
-    del sums
+    table = sums.reshape(rows, cols)
+    keys = _bin_keys(table, levels, out=table.view(np.int64))
     bins = levels.size + 1
 
     def histogram(selected):
@@ -477,9 +485,11 @@ def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True):
     if not members:
         return omega, None
     hist = np.empty((bins, n, cols), dtype=np.int64)
+    member_keys = np.empty(rows // 2 * cols, dtype=np.int64)  # one player's masks
     for i in range(n):
-        hist[:, i] = histogram(keys.reshape(-1, 2, cols << i)[:, 1])
-    del keys
+        selected = keys.reshape(-1, 2, cols << i)[:, 1]
+        np.copyto(member_keys.reshape(selected.shape), selected)
+        hist[:, i] = histogram(member_keys)
     return omega, wins_above(hist).reshape((levels.size, n) + columns)
 
 

@@ -102,6 +102,15 @@ class TestUsageErrors:
         assert code == 0
         assert run_cli(["analytic", "--what", what, "--n", n], capsys) == (0, implicit, "")
 
+    @pytest.mark.parametrize("fraction", ["1/0", "0/0", "2/00"])
+    def test_quota_fraction_with_zero_denominator(self, capsys, fraction):
+        code, out, err = run_cli(
+            ["indices", "--weights-int", "1,2", "--quota-frac", fraction], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "zero denominator" in err
+        assert "Traceback" not in err
+
     def test_single_quota_is_a_one_point_grid(self, capsys):
         code, out, err = run_cli(
             ["coleman-curve", "--n", "6", "--method", "normal", "--quota", "0.5"], capsys

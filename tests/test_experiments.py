@@ -1,5 +1,7 @@
+import hashlib
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +28,7 @@ from votepower import experiments, games
 from votepower.experiments import (
     CLASS_COUNT_CEILINGS,
     MC_CHUNK,
+    MC_KERNEL_BUDGET,
     QuotaCurve,
     _sorted_weight_chunk,
 )
@@ -152,6 +155,155 @@ class TestMonteCarloAtTies:
             assert np.array_equal([c.mean[g] for c in beta], np.sort(profile.beta)[::-1])
             assert np.array_equal([c.mean[g] for c in psi], np.sort(profile.psi)[::-1])
             assert coleman.mean[g] == profile.coleman
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_sample_at_the_kernel_budget(self, workers):
+        n, seed = MC_KERNEL_BUDGET, 4
+        w = _sorted_weight_chunk(n, seed, 0, 1)[0]
+        sums = games._full_sums(w)
+        wins = np.unique(sums[(sums > 0.5) & (sums <= 1.0)])
+        # The three sums nearest 1/2 lie closer than the finest binning cell.
+        grid = np.unique(np.concatenate([wins[:3], wins[:: wins.size // 4], wins[-1:]]))
+        beta = mc_power_curve(n, grid, samples=1, seed=seed, workers=workers)
+        psi = mc_power_curve(n, grid, samples=1, seed=seed, statistic="psi", workers=workers)
+        coleman = mc_coleman_curve(n, grid, samples=1, seed=seed, workers=workers)
+        for g, q in enumerate(grid):
+            profile = banzhaf(VotingGame(w, q))
+            assert np.array_equal([c.mean[g] for c in beta], np.sort(profile.beta)[::-1])
+            assert np.array_equal([c.mean[g] for c in psi], np.sort(profile.psi)[::-1])
+            assert coleman.mean[g] == profile.coleman
+
+
+def _digest(curves):
+    h = hashlib.sha256()
+    for c in curves:
+        h.update(c.mean.tobytes())
+        h.update(c.stderr.tobytes())
+    return h.hexdigest()
+
+
+def _mc_digest(n, samples, statistic, workers):
+    if statistic == "coleman":
+        curves = [mc_coleman_curve(n, samples=samples, seed=23, workers=workers)]
+    elif statistic == "hoeffding":
+        curves = [mc_hoeffding_curve(n, samples=samples, seed=23, workers=workers)]
+    else:
+        curves = mc_power_curve(
+            n, samples=samples, seed=23, statistic=statistic, workers=workers
+        )
+    return _digest(curves)
+
+
+# sha256 of every curve's mean and stderr bytes on the default grid at seed
+# 23, as computed before the counting was tiled.  Below n = 12 the samples
+# cross a chunk boundary; at n = 12 and 14 they span two reduction blocks.
+PINNED_DIGESTS = {
+    (1, 4103, "beta"): "f15b9f3f3196b04d8b0dec905ed1a6358775736c89a27fce439fc086bd37db7b",
+    (1, 4103, "psi"): "f15b9f3f3196b04d8b0dec905ed1a6358775736c89a27fce439fc086bd37db7b",
+    (1, 4103, "coleman"): "86cfcde18a7fbb0483b860682ead9fa53fdfb6c4e83d9e5edef668032b111720",
+    (1, 4103, "hoeffding"): "ac1aa4c47e66941f276d6a3c65ce087305c26f5383c00f452cee88ee2dde025f",
+    (3, 4103, "beta"): "9e933c5eed3da670beaa863e18805fdcee5f9cfcb1ea1ca6e4a7021516695924",
+    (3, 4103, "psi"): "261ebd89f6a52b22bf23ff57dff5cdee909aff83e611e4f422d62d83aca054b2",
+    (3, 4103, "coleman"): "80c51e55a931feb5080410b503d60bf12720cf25aeb1c1ae1d31ed29e600ec7e",
+    (3, 4103, "hoeffding"): "612dacc2aac084c2ce77249607e345dbefcb15c7ade6005b73244ff9f0b591ad",
+    (6, 4103, "beta"): "34254964e82e402c2288c08e062eecaf0ebc773570d7c77a5e3aaeb0d80696ba",
+    (6, 4103, "psi"): "ce86363c2eebb2922d9766f7a884eae7aa24593be8f8eb7e44bc1f1087efe562",
+    (6, 4103, "coleman"): "d95b879517b17a94f9d795560d8889833bf0f032a70fcf1710740287d53651bb",
+    (6, 4103, "hoeffding"): "82066c1b9edf611c8dac69160a832e2069fcb59fdce2f3c8ada05be31a1168c9",
+    (9, 4103, "beta"): "b804050e6af61e4f0ba1c0f3f14ee48c551d710f832a7f431380a8c4576c1142",
+    (9, 4103, "psi"): "ecec2e3dba95cc2f9ea8bff3b441ed48a5bb3cd677ca233c9165bb9db0e0c8c7",
+    (9, 4103, "coleman"): "205ac4c05b32e7a794fa2baad5eb46acd919b87a0560b5f9b3b86f07b0e43897",
+    (9, 4103, "hoeffding"): "4e7d8b9f50ed710c0a78c8b98594f1f2241a6301d664bfb9754f002af44fafe4",
+    (10, 4103, "beta"): "4a5eaed9d653b153f48ff2ee67e2e1e2434a51e66773e4a2777d66fdcf696a41",
+    (10, 4103, "psi"): "3f41f05a546214aae10d46941a6baa58d31fd0193a9a9c6cb6c6589c62ce40f2",
+    (10, 4103, "coleman"): "322838c4dfe5db3a7c7b715906dcef251aeb17be744443b9acdbe2bf8bdd95cb",
+    (10, 4103, "hoeffding"): "f87f43df6db2420f68db71bf555ae9ab935962a398c10fd97ac5147322e0e503",
+    (12, 1100, "beta"): "9dc30ff6dd6fb26dad18eb25815161320f35f1e9774b571f5c5001dcea08f574",
+    (12, 1100, "psi"): "3e64c2d216050f8628ad3d1023066f1db56676973e1e5f5b6ad76b13b6ae03d5",
+    (12, 1100, "coleman"): "c222a492758603d07a50f3ab6ec81343bd906fa09a1ef05c8b661ba4f97e6433",
+    (12, 1100, "hoeffding"): "d0e7c8ccc6b9f705445a3bcc1a5c55f1bdd5e88357dfa8df4881f577103d222e",
+    (14, 300, "beta"): "ceab67848ce06c4f213c8ffcca7742f42c3defe5504ee1ef86f0077ab13ae146",
+    (14, 300, "psi"): "258fc826f37815b318672fa4741b1f9cbd90900d94891a3217664e2d49b3ed83",
+    (14, 300, "coleman"): "819535aaa23e61bffa60428aeacc975327279bd82bf64386d90362189b9529c0",
+    (14, 300, "hoeffding"): "4689628ecfe0f02539e81e4d64f436e721f0cd5f3286850c38099ba2791e79cf",
+}
+
+
+def _spy_tile_widths(monkeypatch):
+    """Record the sample count of every table the counting core sees."""
+    widths = []
+    count = games._winning_counts
+
+    def spy(sums, levels, members=True):
+        widths.append(sums.shape[1])
+        return count(sums, levels, members)
+
+    monkeypatch.setattr(games, "_winning_counts", spy)
+    return widths
+
+
+class TestTiledCounting:
+    """Tiles set only how much of a block is counted at once: the sums,
+    squares and ranges are taken over the same reduction blocks, so every
+    output bit is pinned."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS), ids=str)
+    def test_pinned_digests(self, key, workers):
+        assert _mc_digest(*key, workers) == PINNED_DIGESTS[key]
+
+    @pytest.mark.parametrize(
+        "key,width",
+        [((3, 4103, "beta"), 3), ((6, 4103, "psi"), 3), ((12, 1100, "beta"), 2),
+         ((12, 1100, "coleman"), 3), ((14, 300, "psi"), 1), ((14, 300, "coleman"), 1)],
+        ids=str,
+    )
+    def test_narrow_tiles_keep_the_bits(self, monkeypatch, key, width):
+        n, _, statistic = key
+        histogram = (default_quota_grid().size + 1) * (1 if statistic == "coleman" else n)
+        monkeypatch.setattr(experiments, "_TILE_CELL_BUDGET", width * ((1 << n) + histogram))
+        widths = _spy_tile_widths(monkeypatch)
+        for workers in (1, 2):
+            assert _mc_digest(*key, workers) == PINNED_DIGESTS[key]
+        assert max(widths) == width
+
+    @pytest.mark.parametrize("statistic", ["beta", "psi"])
+    def test_narrow_unsorted_tiles_are_sorted(self, monkeypatch, statistic):
+        # Ascending weights give ascending swings, so every tile is sorted.
+        n, grid = 6, default_quota_grid()
+        weights = np.ascontiguousarray(_sorted_weight_chunk(n, 9, 0, 50)[:, ::-1])
+        (wide,) = experiments._power_values(weights, grid, statistic)
+        monkeypatch.setattr(experiments, "_TILE_CELL_BUDGET", 1)
+        widths = _spy_tile_widths(monkeypatch)
+        (narrow,) = experiments._power_values(weights, grid, statistic)
+        assert widths == [1] * 50
+        assert np.array_equal(narrow, wide)
+        assert np.all(narrow[:, :-1] >= narrow[:, 1:])
+        for j in (0, 31):
+            profile = banzhaf(VotingGame(weights[j], grid[40]))
+            assert np.array_equal(narrow[40, :, j], np.sort(getattr(profile, statistic))[::-1])
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMonteCarloMemory:
+    """A worker holds one reduction block of values and one tile of counting
+    scratch, not a block's full sum, key and histogram tables."""
+
+    def test_power_curve_n10_two_workers(self):
+        peak = _traced_peak(lambda: mc_power_curve(10, samples=8192, workers=2))
+        assert peak <= 96 * 2 ** 20
+
+    def test_coleman_curve_n12_two_workers(self):
+        peak = _traced_peak(lambda: mc_coleman_curve(12, samples=8192, workers=2))
+        assert peak <= 24 * 2 ** 20
 
 
 class TestRankOrder:
