@@ -271,7 +271,7 @@ def _cmd_moments(args):
 def _cmd_indices(args):
     game = _game_from_args(args)
     profile = games.banzhaf(game)
-    idle = sorted(i + 1 for i in games._zero_swing_players(profile))
+    idle = (np.flatnonzero(profile.psi == 0) + 1).tolist()
     printed = games.optimal_quota_diagnostic(game.weights, "printed")
     payload = {
         "n": game.n,
@@ -396,7 +396,7 @@ def _cmd_classes(args):
 
 
 def _cmd_spline_fit(args):
-    quotas, values = _read_series_csv(args.input, args.series)
+    series, quotas, values = _read_series_csv(args.input, args.series)
     knots = "auto" if args.breakpoints == "auto" else _parse_floats(args.breakpoints)
     fit = experiments.fit_spline(
         quotas,
@@ -406,7 +406,7 @@ def _cmd_spline_fit(args):
         penalty=args.penalty,
     )
     payload = {
-        "series": args.series,
+        "series": series,
         "degree": fit.degree,
         "interior_breakpoints": list(fit.interior_breakpoints),
         "piece_coefficients": [list(p) for p in fit.piece_coefficients],
@@ -417,6 +417,8 @@ def _cmd_spline_fit(args):
 
 
 def _read_series_csv(path: str, series: str | None):
+    """(series, quotas, values) of one series of a curve CSV, by default
+    the first."""
     quotas, values = [], []
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().strip().split(",")
@@ -440,7 +442,7 @@ def _read_series_csv(path: str, series: str | None):
     if not quotas:
         raise VotePowerError(f"series {series!r} not found in {path}")
     order = np.argsort(quotas)
-    return np.array(quotas)[order], np.array(values)[order]
+    return series, np.array(quotas)[order], np.array(values)[order]
 
 
 def _cmd_analytic(args):

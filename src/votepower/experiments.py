@@ -56,9 +56,10 @@ class QuotaCurve:
 
 def _validate_grid(quotas) -> np.ndarray:
     grid = np.asarray(quotas, dtype=np.float64).reshape(-1)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0):
+    # Negated comparisons, so that a NaN quota fails them.
+    if grid.size == 0 or not np.all(np.diff(grid) > 0):
         raise InvalidArgumentsError("quota grid must be strictly increasing")
-    if grid[0] <= 0.5 or grid[-1] > 1.0:
+    if not (0.5 < grid[0] and grid[-1] <= 1.0):
         raise InvalidArgumentsError("quota grid must lie in (1/2, 1]")
     return grid
 
@@ -119,65 +120,38 @@ class _Accumulator:
         return mean, stderr
 
 
-def _blocks(weights):
-    """A chunk's accumulation blocks, ``_SUM_CELL_BUDGET >> n`` samples each."""
-    cols = max(1, _SUM_CELL_BUDGET >> weights.shape[1])
-    for start in range(0, len(weights), cols):
-        yield weights[start:start + cols]
-
-
-def _tile_counts(block, grid, members):
-    """(columns, omega, member) for each tile of a block's samples.
-
-    A tile is as many samples as keep its coalition sums, bin keys and
-    histogram within ``_TILE_CELL_BUDGET`` cells; every sample's counts are
-    computed on its own, so the tiling changes no count.
-    """
-    n = block.shape[1]
-    per_column = (1 << n) + (grid.size + 1) * (n if members else 1)
-    width = min(len(block), max(1, _TILE_CELL_BUDGET // per_column))
-    table = np.empty(width << n)   # each tile's sums, then its bin keys
-    for start in range(0, len(block), width):
-        tile = block[start:start + width]
-        sums = games._full_sums(tile.T, out=table[:len(tile) << n])
-        omega, member = games._winning_counts(sums, grid, members)
-        yield slice(start, start + len(tile)), omega, member
-
-
 def _power_values(weights, grid, statistic):
-    """Per-sample index profiles over (grid, ranks), largest first, one
-    (grid, n, block) array per accumulation block, filled tile by tile.
+    """Per-sample index values over the grid, one array per accumulation
+    block of ``_SUM_CELL_BUDGET >> n`` samples: (grid, n, block) profiles,
+    largest first, or (grid, block) for coleman.
 
-    The weights come sorted descending and swings are monotone in weight,
-    so the swings normally are already in rank order; a tile with any
-    profile out of order is sorted.  Sorting the integer swings before the
-    division gives the bits that sorting the values would, since the
-    division is monotone and a profile's swing total does not depend on
-    the order.
+    A block is counted in tiles, each as many samples as keep its
+    coalition sums, bin keys and histogram within ``_TILE_CELL_BUDGET``
+    cells; every sample's counts are computed on its own, so the tiling
+    changes no bit.  The weights come sorted descending and swings are
+    monotone in weight, so profiles normally are already in rank order; a
+    tile with any profile out of order is sorted.  Sorting the values gives
+    the bits that sorting the swings would, since each profile is divided
+    by one positive constant.
     """
     n = weights.shape[1]
-    scale = float(2 ** (n - 1))
-    for block in _blocks(weights):
-        values = np.empty((grid.size, n, len(block)))
-        for cols, omega, swing in _tile_counts(block, grid, members=True):
-            swing *= 2
-            swing -= omega[:, None]
-            if not (swing[:, :-1] >= swing[:, 1:]).all():
-                swing.sort(axis=1)
-                swing = swing[:, ::-1]
-            if statistic == "psi":
-                np.divide(swing, scale, out=values[..., cols])
-            else:
-                np.divide(swing, swing.sum(axis=1, keepdims=True), out=values[..., cols])
-        yield values
-
-
-def _coleman_values(weights, grid):
-    scale = 2.0 ** (-weights.shape[1])
-    for block in _blocks(weights):
-        values = np.empty((grid.size, len(block)))
-        for cols, omega, _ in _tile_counts(block, grid, members=False):
-            np.multiply(omega, scale, out=values[:, cols])
+    members = statistic != "coleman"
+    per_column = (1 << n) + (grid.size + 1) * (n if members else 1)
+    block = max(1, _SUM_CELL_BUDGET >> n)
+    width = min(block, len(weights), max(1, _TILE_CELL_BUDGET // per_column))
+    table = np.empty(width << n)   # each tile's sums, then its bin keys
+    rows = (grid.size, n) if members else (grid.size,)
+    for first in range(0, len(weights), block):
+        samples = weights[first:first + block]
+        values = np.empty(rows + (len(samples),))
+        for start in range(0, len(samples), width):
+            tile = samples[start:start + width]
+            sums = games._full_sums(tile.T, out=table[:len(tile) << n])
+            omega, member = games._winning_counts(sums, grid, members)
+            out = values[..., start:start + len(tile)]
+            games._index_values(n, statistic, omega, member, out=out)
+            if members and not (out[:, :-1] >= out[:, 1:]).all():
+                out[:] = np.sort(out, axis=1)[:, ::-1]
         yield values
 
 
@@ -265,7 +239,8 @@ def mc_coleman_curve(
     n: int, quotas=None, samples: int = 65536, seed=0, workers: int = 1
 ) -> QuotaCurve:
     """Monte Carlo mean of the exact per-game Coleman index per quota."""
-    return _mc_curves(n, quotas, samples, seed, workers, _coleman_values, ["coleman"])[0]
+    values = functools.partial(_power_values, statistic="coleman")
+    return _mc_curves(n, quotas, samples, seed, workers, values, ["coleman"])[0]
 
 
 def mc_hoeffding_curve(
@@ -387,6 +362,11 @@ def discover_classes(n: int, budget: int = 10 ** 6, seed=0) -> GameClassCatalog:
 # --------------------------------------------------------------------------
 # extremum counting
 
+def _check_finite(quotas, values):
+    if not (np.isfinite(quotas).all() and np.isfinite(values).all()):
+        raise InvalidArgumentsError("quotas and values must be finite")
+
+
 def count_extrema(curve, smoothing_window: int = 5):
     """Count local extrema of a quota curve; returns (count, locations).
 
@@ -406,6 +386,7 @@ def count_extrema(curve, smoothing_window: int = 5):
         quotas, values = (np.asarray(a, dtype=np.float64) for a in curve)
     if values.size < 10:
         raise InvalidArgumentsError("need at least 10 grid points")
+    _check_finite(quotas, values)
     window = max(1, int(smoothing_window))
     if window > 1:
         kernel = np.full(window, 1.0 / window)
@@ -509,6 +490,7 @@ def fit_spline(
     v = np.asarray(values, dtype=np.float64).reshape(-1)
     if q.size != v.size or q.size == 0:
         raise InvalidArgumentsError("quotas and values must be equal-length, non-empty")
+    _check_finite(q, v)
     if np.any(np.diff(q) <= 0):
         raise InvalidArgumentsError("sample grid must be strictly increasing")
     if max_degree < 0:

@@ -15,7 +15,9 @@ coalition weights from here, the Monte Carlo estimators and class
 discovery included, so the meet-in-the-middle counter reproduces full
 enumeration bit for bit, ties included, and a sampled game's Monte Carlo
 profile equals its exact one.  Full enumeration sums and compares every
-coalition, one block of B masks against all A masks at a time.
+coalition, one block of B masks against all A masks at a time.  Likewise
+every kernel turns winning counts into psi, beta and Coleman values with
+one helper, ``_index_values``.
 
 For inputs where float ties at the quota are a real concern, build the
 game from integer weights and a rational quota num/den
@@ -304,19 +306,38 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     return omega, member
 
 
+def _index_values(n: int, statistic: str, omega: np.ndarray, member=None, out=None):
+    """The one map from winning counts to index values, into ``out`` if given.
+
+    ``omega``, shape (levels, *games), counts the winning coalitions and
+    ``member``, shape (levels, n, *games), those holding each player; it is
+    overwritten by the swings 2 member - omega.  coleman is omega 2^-n,
+    which is exact, so it has the bits of omega / 2^n; psi is swing / 2^(n-1);
+    beta is swing over its total.  That total is at least 1, so beta needs
+    no guard: the grand coalition wins, the empty one loses, and per-half
+    accumulation of non-negative weights is monotone, so no swing count is
+    negative and some player swings on every chain between the two.
+    """
+    if statistic == "coleman":
+        return np.multiply(omega, 2.0 ** -n, out=out)
+    swing = member
+    swing *= 2
+    swing -= omega[:, None]
+    if statistic == "psi":
+        return np.divide(swing, float(2 ** (n - 1)), out=out)
+    return np.divide(swing, swing.sum(axis=1, keepdims=True), out=out)
+
+
 def _profile_from_counts(n: int, omega: int, member: np.ndarray) -> PowerProfile:
-    swing = 2 * member - omega  # integer swing counts, always >= 0
-    denom = int(swing.sum())
-    psi = swing / float(2 ** (n - 1))
-    beta = swing / denom if denom > 0 else np.zeros(n)
-    psi.setflags(write=False)
-    beta.setflags(write=False)
+    level = np.array([omega], dtype=np.int64)
+    psi, beta = (_index_values(n, s, level, member[None].copy())[0] for s in ("psi", "beta"))
     counts = member.copy()
-    counts.setflags(write=False)
+    for array in (psi, beta, counts):
+        array.setflags(write=False)
     return PowerProfile(
         psi=psi,
         beta=beta,
-        coleman=omega / float(2 ** n),
+        coleman=float(_index_values(n, "coleman", level)[0]),
         winning_count=omega,
         member_counts=counts,
     )
@@ -329,14 +350,9 @@ def banzhaf(game: VotingGame) -> PowerProfile:
     return _profile_from_counts(game.n, omega, member)
 
 
-def _zero_swing_players(profile: PowerProfile) -> frozenset[int]:
-    swing = 2 * profile.member_counts - profile.winning_count
-    return frozenset(int(i) for i in np.flatnonzero(swing == 0))
-
-
 def dummies(game: VotingGame) -> frozenset[int]:
     """Players whose absolute index is exactly zero (0-based indices)."""
-    return _zero_swing_players(banzhaf(game))
+    return frozenset(np.flatnonzero(banzhaf(game).psi == 0).tolist())
 
 
 def hoeffding_bound(game: VotingGame) -> float:
@@ -509,16 +525,7 @@ def fixed_weight_quota_curve(weights, statistic: str = "beta") -> StepCurve:
     sums = _full_sums(w)
     breakpoints = np.unique(sums[(sums > 0.5) & (sums <= 1.0)])
     omega, member = _winning_counts(sums, breakpoints, members=statistic != "coleman")
-    # Every breakpoint at once, with _profile_from_counts' arithmetic.
-    if statistic == "coleman":
-        values = omega / float(2 ** n)
-    else:
-        swing = 2 * member - omega[:, None]
-        if statistic == "psi":
-            values = swing / float(2 ** (n - 1))
-        else:
-            denom = swing.sum(axis=1, keepdims=True)
-            values = np.divide(swing, denom, out=np.zeros(swing.shape), where=denom > 0)
+    values = _index_values(n, statistic, omega, member)
     values.setflags(write=False)
     breakpoints.setflags(write=False)
     return StepCurve(breakpoints=breakpoints, values=values, statistic=statistic)

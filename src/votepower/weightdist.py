@@ -94,6 +94,8 @@ def ordered_weight_density(n: int, k: int, x: float) -> float:
     """
     _check_density_args(n, k)
     x = float(x)
+    if math.isnan(x):
+        raise InvalidArgumentsError("cannot evaluate at NaN")
     lo, hi = ordered_weight_support(n, k)
     if x < lo or x > hi:
         return 0.0
@@ -112,6 +114,8 @@ def ordered_weight_cdf(n: int, k: int, x: float) -> float:
     """CDF of the k-th largest of n weights, in closed form, correctly rounded."""
     _check_density_args(n, k)
     x = float(x)
+    if math.isnan(x):
+        raise InvalidArgumentsError("cannot evaluate at NaN")
     lo, hi = ordered_weight_support(n, k)
     if x <= lo:
         return 0.0

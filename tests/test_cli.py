@@ -314,6 +314,38 @@ class TestDeterminismAndRoundTrip:
         assert fit["piece_coefficients"][0][0] == pytest.approx(1.5, abs=1e-9)
         assert fit["piece_coefficients"][0][1] == pytest.approx(-1.0, abs=1e-9)
 
+    def test_spline_fit_names_the_default_series(self, tmp_path, capsys):
+        curve_path = tmp_path / "beta2.csv"
+        code, _, _ = run_cli(
+            [
+                "analytic", "--what", "beta-n2",
+                "--quotas", ",".join(str(q) for q in np.linspace(0.505, 1.0, 20)),
+                "--output", str(curve_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            ["spline-fit", "--input", str(curve_path), "--max-degree", "1"], capsys
+        )
+        assert code == 0
+        fit = json.loads(out)
+        assert fit["series"] == "beta_rank_1"
+        assert fit["piece_coefficients"][0][0] == pytest.approx(1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("quota,mean", [("0.65", "nan"), ("nan", "0.5"), ("0.65", "inf")])
+    def test_spline_fit_rejects_non_finite_samples(self, tmp_path, capsys, quota, mean):
+        rows = [f"{0.6 + 0.01 * i!r},s,0.5,0,1" for i in range(12)]
+        rows[5] = f"{quota},s,{mean},0,1"
+        curve_path = tmp_path / "curve.csv"
+        curve_path.write_text("\n".join([",".join(_CURVE_HEADER), *rows]) + "\n")
+        code, out, err = run_cli(
+            ["spline-fit", "--input", str(curve_path), "--max-degree", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "InvalidArgumentsError" in err
+
     def test_config_file_overrides_defaults(self, tmp_path, capsys):
         config = tmp_path / "votepower.conf"
         config.write_text("samples=64\nseed=9\n")

@@ -49,6 +49,14 @@ class TestQuotaGrid:
         with pytest.raises(InvalidArgumentsError):
             mc_coleman_curve(3, quotas=[0.7, 0.6], samples=8)
 
+    @pytest.mark.parametrize("quotas", [[np.nan], [0.6, np.nan], [np.nan, 0.6]])
+    def test_nan_quota_is_an_invalid_argument(self, quotas):
+        with pytest.raises(InvalidArgumentsError):
+            mc_power_curve(3, quotas=quotas, samples=8)
+        with pytest.raises(InvalidArgumentsError):
+            QuotaCurve(np.array(quotas), "x", np.zeros(len(quotas)),
+                       np.zeros(len(quotas)), np.ones(len(quotas)))
+
 
 class TestPowerCurve:
     def test_two_player_line(self):
@@ -464,6 +472,16 @@ class TestCountExtrema:
         with pytest.raises(InvalidArgumentsError):
             count_extrema((np.linspace(0.6, 0.9, 5), np.zeros(5)))
 
+    def test_non_finite_samples_are_rejected(self):
+        quotas = np.linspace(0.51, 0.99, 12)
+        for curve in (
+            (quotas, np.full(12, np.nan)),
+            (quotas, np.where(quotas < 0.7, 0.25, np.inf)),
+            (np.where(quotas < 0.7, quotas, np.nan), np.zeros(12)),
+        ):
+            with pytest.raises(InvalidArgumentsError):
+                count_extrema(curve)
+
     def test_mc_curve_counts_are_exploratory_output(self):
         # Per-rank extremum counts on a sampled curve are reported, not
         # asserted against any conjecture; just exercise the path.
@@ -530,3 +548,14 @@ class TestFitSpline:
                 max_degree=2,
                 breakpoints=[0.52],
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["quotas", "values"])
+    def test_non_finite_samples_are_rejected(self, bad, where):
+        q = np.linspace(0.51, 0.99, 20)
+        v = 1.5 - q
+        (q if where == "quotas" else v)[7] = bad
+        with pytest.raises(InvalidArgumentsError):
+            fit_spline(q, v, max_degree=1)
+        with pytest.raises(InvalidArgumentsError):
+            fit_spline(q, v, max_degree=1, breakpoints=[0.8])

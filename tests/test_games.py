@@ -430,13 +430,14 @@ class TestQuotaCurve:
         curve = fixed_weight_quota_curve([0.5, 0.3, 0.2], "beta")
         assert curve.value_at(0.7).tolist() == [0.6, 0.2, 0.2]
 
+    @pytest.mark.parametrize("statistic", ["beta", "psi", "coleman"])
     @given(st.integers(2, 10), st.integers(0, 10 ** 6), st.floats(0.501, 1.0))
     @settings(max_examples=40, deadline=None)
-    def test_curve_matches_direct_evaluation(self, n, seed, quota):
+    def test_curve_matches_direct_evaluation(self, statistic, n, seed, quota):
         w = sample_uniform_simplex(n, RandomSeed(seed))
-        curve = fixed_weight_quota_curve(w, "beta")
+        curve = fixed_weight_quota_curve(w, statistic)
         direct = banzhaf(VotingGame(w, quota))
-        assert np.array_equal(curve.value_at(quota), direct.beta)
+        assert np.array_equal(curve.value_at(quota), getattr(direct, statistic))
 
     def test_coleman_curve_values(self):
         curve = fixed_weight_quota_curve([0.5, 0.3, 0.2], "coleman")

@@ -132,6 +132,11 @@ class TestDensity:
             with pytest.raises(ValueError):
                 evaluate(4, 2, math.nan)
 
+    def test_nan_is_an_invalid_argument(self):
+        for evaluate in (ordered_weight_density, ordered_weight_cdf):
+            with pytest.raises(InvalidArgumentsError):
+                evaluate(4, 2, math.nan)
+
     def test_validated_range_bound(self):
         with pytest.raises(AccuracyUnsupportedError):
             ordered_weight_density(65, 2, 0.1)
