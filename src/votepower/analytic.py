@@ -346,11 +346,14 @@ def coalition_weight_cf(n: int, t) -> float | np.ndarray:
     Real and even in t, equal to 1 at t = 0, bounded by 1 in absolute
     value; for a single player it is exactly cos(t/2).  Small |t| uses
     the hypergeometric power series, large |t| an exact elementary
-    representation, so the whole real line is covered.
+    representation, so the whole real line is covered; a non-finite t
+    is an error.
     """
     if n < 1:
         raise InvalidArgumentsError("player count must be at least 1")
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentsError("CF arguments must be finite")
     out = np.empty_like(arr)
     mag = np.abs(arr)
     if n == 1:

@@ -5,6 +5,12 @@ or JSON.  Floats are serialized with 17 significant digits so files
 round-trip losslessly, and nothing time- or host-dependent is written, so
 repeating a command reproduces the output byte for byte.
 
+Every table takes one path: a command gives ``_write_table`` its columns,
+and one block loop streams them as CSV or JSON.  The curve commands share
+the five ``_CURVE_HEADER`` columns, built by ``_curve_columns`` for exact
+curves (quota-major, one row per quota and series) and by
+``_quota_curve_columns`` for Monte Carlo curves (one series after another).
+
 Exit codes: 0 success, 2 usage error, 3 numeric convergence failure,
 4 enumeration budget exceeded.
 """
@@ -54,33 +60,26 @@ def _float_text(values: np.ndarray, fmt="%.17g".__mod__) -> list[str]:
     return text[np.cumsum(starts) - 1].tolist()
 
 
-def _column_text(column, start: int, stop: int):
-    """CSV text of rows [start, stop) of one ``_write_table`` column."""
-    if isinstance(column, list):
-        return column[start:stop]
-    if not isinstance(column, np.ndarray):
-        return itertools.repeat(_fmt(column))
-    part = column[start:stop]
-    if part.dtype.kind == "f":
-        return _float_text(part)
-    return map(str, part.tolist())
-
-
 # json.dumps writes non-finite floats as JavaScript names, finite ones as repr
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_column_text(column, start: int, stop: int):
-    """``json.dumps`` of each of rows [start, stop) of one column."""
+def _column_text(column, start: int, stop: int, json_text: bool = False):
+    """Text of rows [start, stop) of one ``_write_table`` column: CSV text,
+    or with ``json_text`` the ``json.dumps`` of each value."""
     if isinstance(column, list):
         part = column[start:stop]
+        if not json_text:
+            return part
         text = {value: json.dumps(value) for value in set(part)}
         return map(text.__getitem__, part)
     if not isinstance(column, np.ndarray):
-        return itertools.repeat(json.dumps(column))
+        return itertools.repeat(json.dumps(column) if json_text else _fmt(column))
     part = column[start:stop]
     if part.dtype.kind != "f":
-        return map(json.dumps, part.tolist())
+        return map(json.dumps if json_text else str, part.tolist())
+    if not json_text:
+        return _float_text(part)
     text = _float_text(part, float.__repr__)
     if not np.isfinite(part).all():
         text = [_JSON_NONFINITE.get(t, t) for t in text]
@@ -112,26 +111,24 @@ def _write_table(args, header, columns):
     repeats on every row.  Text is made one column and one block of rows
     at a time and streamed.  JSON is the bytes of ``json.dumps(rows,
     indent=2)`` with one object per row, keys in header order, holding the
-    columns' Python values.
+    columns' Python values.  The two formats differ only in the head, the
+    row formatter, the separator between rows and the tail.
     """
     rows = next((len(c) for c in columns if isinstance(c, (np.ndarray, list))), 0)
-    if args.format == "json":
+    json_text = args.format == "json"
+    if json_text:
         keys = (json.dumps(h).replace("%", "%%") for h in header)
-        template = "  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }"
-        with _output(args) as out:
-            out.write("[")
-            for start in range(0, rows, _TABLE_BLOCK):
-                texts = [_json_column_text(c, start, start + _TABLE_BLOCK) for c in columns]
-                out.write("\n" if start == 0 else ",\n")
-                out.write(",\n".join(map(template.__mod__, zip(*texts))))
-            out.write("\n]\n" if rows else "]\n")
-        return
+        row = ("  {\n" + ",\n".join(f"    {k}: %s" for k in keys) + "\n  }").__mod__
+        head, separator, tail = "[", ",\n", "\n]\n" if rows else "]\n"
+    else:
+        row = ",".join
+        head, separator, tail = ",".join(header), "\n", "\n"
     with _output(args) as out:
-        out.write(",".join(header) + "\n")
+        out.write(head)
         for start in range(0, rows, _TABLE_BLOCK):
-            stop = start + _TABLE_BLOCK
-            texts = [_column_text(c, start, stop) for c in columns]
-            out.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            texts = [_column_text(c, start, start + _TABLE_BLOCK, json_text) for c in columns]
+            out.write(("\n" if start == 0 else separator) + separator.join(map(row, zip(*texts))))
+        out.write(tail)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -151,17 +148,17 @@ def _parse_fraction(text: str) -> tuple[int, int]:
 
 
 def _weights_from_args(args) -> np.ndarray:
-    if getattr(args, "weights_csv", None):
+    if args.weights_csv:
         values = np.loadtxt(args.weights_csv, delimiter=",", ndmin=1)
         return simplex.as_weight_vector(values, normalize=True)
-    if getattr(args, "weights", None):
+    if args.weights:
         return simplex.as_weight_vector(_parse_floats(args.weights), normalize=True)
     raise argparse.ArgumentTypeError("no weights given")
 
 
 def _game_from_args(args) -> games.VotingGame:
-    if getattr(args, "weights_int", None):
-        if not getattr(args, "quota_frac", None):
+    if args.weights_int:
+        if not args.quota_frac:
             raise argparse.ArgumentTypeError("--weights-int requires --quota-frac")
         num, den = _parse_fraction(args.quota_frac)
         return games.VotingGame.from_integers(_parse_ints(args.weights_int), num, den)
@@ -171,14 +168,18 @@ def _game_from_args(args) -> games.VotingGame:
 
 
 def _quota_grid_from_args(args) -> np.ndarray:
-    if getattr(args, "quotas", None):
+    if args.quotas:
         return experiments._validate_grid(_parse_floats(args.quotas))
     return experiments.default_quota_grid()
 
 
 def _maybe_plot(args, series, caption):
-    if getattr(args, "plot", None):
+    if args.plot:
         emit_plot(series, args.plot, caption)
+
+
+def _seed(args) -> simplex.RandomSeed:
+    return simplex.RandomSeed(args.seed, args.stream)
 
 
 def _step_series(curve: games.StepCurve):
@@ -205,6 +206,19 @@ def _row_columns(rows):
     return [list(c) if isinstance(c[0], str) else np.array(c) for c in zip(*rows)]
 
 
+def _curve_columns(quotas, names, values):
+    """The _CURVE_HEADER columns of an exact curve, quota by quota:
+    ``values`` has one row per quota and one column per series name, and
+    every row has standard error 0 and 0 samples."""
+    return [
+        np.repeat(quotas, len(names)),
+        list(names) * len(quotas),
+        np.asarray(values, dtype=np.float64).reshape(-1),
+        0.0,
+        0,
+    ]
+
+
 def _quota_curve_columns(curves):
     """The _CURVE_HEADER columns of Monte Carlo curves, one after another."""
     return [
@@ -220,9 +234,7 @@ def _quota_curve_columns(curves):
 # subcommands
 
 def _cmd_sample_weights(args):
-    draws = simplex.sample_uniform_simplex_batch(
-        args.n, args.samples, simplex.RandomSeed(args.seed, args.stream)
-    )
+    draws = simplex.sample_uniform_simplex_batch(args.n, args.samples, _seed(args))
     header = tuple(f"w{i + 1}" for i in range(args.n))
     _write_table(args, header, list(draws.T))
     return 0
@@ -301,13 +313,10 @@ def _cmd_indices(args):
 def _cmd_fixed_curve(args):
     weights = _weights_from_args(args)
     curve = games.fixed_weight_quota_curve(weights, args.functional)
-    quotas, names = curve.breakpoints, curve.statistic
-    if curve.values.ndim == 2:  # beta and psi: one row per (breakpoint, player)
-        players = curve.values.shape[1]
-        quotas = np.repeat(quotas, players)
-        names = [f"{curve.statistic}_player_{p + 1}" for p in range(players)]
-        names *= curve.breakpoints.size
-    _write_table(args, _CURVE_HEADER, [quotas, names, curve.values.reshape(-1), 0.0, 0])
+    names = [curve.statistic]
+    if curve.values.ndim == 2:  # beta and psi: one series per player
+        names = [f"{curve.statistic}_player_{p + 1}" for p in range(curve.values.shape[1])]
+    _write_table(args, _CURVE_HEADER, _curve_columns(curve.breakpoints, names, curve.values))
     _maybe_plot(
         args,
         _step_series(curve),
@@ -322,7 +331,7 @@ def _cmd_power_curve(args):
         args.n,
         grid,
         samples=args.samples,
-        seed=simplex.RandomSeed(args.seed, args.stream),
+        seed=_seed(args),
         statistic=args.statistic,
         workers=args.workers,
     )
@@ -340,53 +349,32 @@ def _cmd_coleman_curve(args):
         grid = experiments._validate_grid([args.quota])
     else:
         grid = _quota_grid_from_args(args)
-    if args.method == "inversion":
-        values = np.array([analytic.expected_coleman(args.n, q) for q in grid.tolist()])
-        columns = [grid, "coleman", values, 0.0, 0]
-        curves = [("coleman_inversion", grid, values)]
-    elif args.method == "normal":
-        values = np.array([analytic.expected_coleman_normal(args.n, q) for q in grid.tolist()])
-        columns = [grid, "coleman_normal", values, 0.0, 0]
-        curves = [("coleman_normal", grid, values)]
-    elif args.method == "mc":
-        curve = experiments.mc_coleman_curve(
-            args.n,
-            grid,
-            samples=args.samples,
-            seed=simplex.RandomSeed(args.seed, args.stream),
-            workers=args.workers,
+    caption = f"expected Coleman index, n={args.n} method={args.method}"
+    if args.method in ("inversion", "normal"):  # closed forms
+        exact = args.method == "inversion"
+        formula = analytic.expected_coleman if exact else analytic.expected_coleman_normal
+        values = np.array([formula(args.n, q) for q in grid.tolist()])
+        columns = _curve_columns(grid, ["coleman" if exact else "coleman_normal"], values)
+        label = f"coleman_{args.method}"
+    else:  # Monte Carlo estimators
+        mc = args.method == "mc"
+        estimator = experiments.mc_coleman_curve if mc else experiments.mc_hoeffding_curve
+        curve = estimator(
+            args.n, grid, samples=args.samples, seed=_seed(args), workers=args.workers
         )
-        columns = _quota_curve_columns([curve])
-        curves = [("coleman_mc", curve.quotas, curve.mean)]
-        values = curve.mean
-    elif args.method == "hoeffding-bound":
-        curve = experiments.mc_hoeffding_curve(
-            args.n,
-            grid,
-            samples=args.samples,
-            seed=simplex.RandomSeed(args.seed, args.stream),
-            workers=args.workers,
-        )
-        columns = _quota_curve_columns([curve])
-        curves = [("hoeffding_bound", curve.quotas, curve.mean)]
-        values = curve.mean
-    else:
-        raise argparse.ArgumentTypeError(f"unknown method {args.method!r}")
+        values, columns = curve.mean, _quota_curve_columns([curve])
+        label = "coleman_mc" if mc else "hoeffding_bound"
+        caption += f" seed={args.seed} samples={args.samples}"
     if args.quota is not None and not args.output and args.format == "csv":
         sys.stdout.write(_fmt(float(values[0])) + "\n")
     else:
         _write_table(args, _CURVE_HEADER, columns)
-    caption = f"expected Coleman index, n={args.n} method={args.method}"
-    if args.method in ("mc", "hoeffding-bound"):
-        caption += f" seed={args.seed} samples={args.samples}"
-    _maybe_plot(args, curves, caption)
+    _maybe_plot(args, [(label, grid, values)], caption)
     return 0
 
 
 def _cmd_classes(args):
-    catalog = experiments.discover_classes(
-        args.n, budget=args.budget, seed=simplex.RandomSeed(args.seed, args.stream)
-    )
+    catalog = experiments.discover_classes(args.n, budget=args.budget, seed=_seed(args))
     rows = [
         (idx, ";".join(_fmt(b) for b in cls.beta), cls.hits)
         for idx, cls in enumerate(catalog.classes)
@@ -450,31 +438,7 @@ def _cmd_analytic(args):
     players = {"beta-n2": 2, "cf": None}.get(what, 3)  # the closed forms' player count
     if players and args.n not in (None, players):
         raise InvalidArgumentsError(f"--what {what} has {players} players, not --n {args.n}")
-    if what == "beta-n2":
-        grid = _quota_grid_from_args(args)
-        rows = []
-        for q in grid:
-            b1, b2 = analytic.expected_beta_n2(float(q))
-            rows.append((float(q), "beta_rank_1", b1, 0.0, 0))
-            rows.append((float(q), "beta_rank_2", b2, 0.0, 0))
-        _write_table(args, _CURVE_HEADER, _row_columns(rows))
-    elif what == "beta-n3":
-        grid = _quota_grid_from_args(args)
-        rows = []
-        for q in grid:
-            triple = analytic.expected_beta_n3(float(q))
-            for k, value in enumerate(triple, start=1):
-                rows.append((float(q), f"beta_rank_{k}", value, 0.0, 0))
-        _write_table(args, _CURVE_HEADER, _row_columns(rows))
-    elif what == "class-probs":
-        grid = _quota_grid_from_args(args)
-        table = analytic.class_table_n3()
-        rows = []
-        for q in grid:
-            for label, prob in table.probabilities(float(q)).items():
-                rows.append((float(q), f"class_{label}", prob, 0.0, 0))
-        _write_table(args, _CURVE_HEADER, _row_columns(rows))
-    elif what == "extrema":
+    if what == "extrema":
         rows = [
             (e.rank, _fmt(float(e.location)), str(e.location), e.kind)
             for e in analytic.extrema_n3()
@@ -485,7 +449,16 @@ def _cmd_analytic(args):
         n = 3 if args.n is None else args.n
         _write_table(args, ("t", "value"), [ts, analytic.coalition_weight_cf(n, ts)])
     else:
-        raise argparse.ArgumentTypeError(f"unknown analytic target {what!r}")
+        grid = _quota_grid_from_args(args)
+        if what == "class-probs":
+            table = analytic.class_table_n3()
+            names = [f"class_{c.label}" for c in table.classes]
+            values = [list(table.probabilities(q).values()) for q in grid.tolist()]
+        else:
+            formula = analytic.expected_beta_n2 if players == 2 else analytic.expected_beta_n3
+            names = [f"beta_rank_{k}" for k in range(1, players + 1)]
+            values = [formula(q) for q in grid.tolist()]
+        _write_table(args, _CURVE_HEADER, _curve_columns(grid, names, values))
     return 0
 
 
@@ -503,11 +476,16 @@ def _add_seed_args(sub):
 
 
 def _add_weight_args(sub, exact: bool = False):
-    sub.add_argument("--weights", help="comma-separated weights (normalized by their sum)")
-    sub.add_argument("--weights-csv", help="CSV file with one weight per value")
+    """One source of weights; with ``exact``, also integer weights and one
+    of --quota and --quota-frac."""
+    weights = sub.add_mutually_exclusive_group()
+    weights.add_argument("--weights", help="comma-separated weights (normalized by their sum)")
+    weights.add_argument("--weights-csv", help="CSV file with one weight per value")
     if exact:
-        sub.add_argument("--weights-int", help="comma-separated integer weights (exact mode)")
-        sub.add_argument("--quota-frac", help="quota as a fraction of total weight, e.g. 11/20")
+        weights.add_argument("--weights-int", help="comma-separated integer weights (exact mode)")
+        quota = sub.add_mutually_exclusive_group()
+        quota.add_argument("--quota", type=float)
+        quota.add_argument("--quota-frac", help="quota as a fraction of total weight, e.g. 11/20")
 
 
 def build_parser(
@@ -553,7 +531,6 @@ def build_parser(
 
     sub = commands.add_parser("indices", help="exact power indices of one game")
     _add_weight_args(sub, exact=True)
-    sub.add_argument("--quota", type=float)
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_indices, format="json")
 
@@ -586,8 +563,9 @@ def build_parser(
         "central-limit approximation; mc: Monte Carlo; hoeffding-bound: "
         "Monte Carlo mean of the Hoeffding bound",
     )
-    sub.add_argument("--quota", type=float, help="single quota; prints one value")
-    sub.add_argument("--quotas", help="comma-separated quota grid")
+    quota = sub.add_mutually_exclusive_group()
+    quota.add_argument("--quota", type=float, help="single quota; prints one value")
+    quota.add_argument("--quotas", help="comma-separated quota grid")
     sub.add_argument("--samples", type=int, default=65536)
     sub.add_argument("--workers", type=int, default=None)
     sub.add_argument("--plot")

@@ -374,7 +374,8 @@ def count_extrema(curve, smoothing_window: int = 5):
     a derivative sign change.  Sampled curves are smoothed with a moving
     average first (Monte Carlo noise would otherwise create spurious
     extrema), then strict sign changes of the first difference are
-    counted; this path is exploratory, not exact.
+    counted; this path is exploratory, not exact.  The window may not be
+    wider than the curve has points.
     """
     if isinstance(curve, analytic.PiecewisePolynomialCurve):
         points = curve.stationary_points()
@@ -388,6 +389,10 @@ def count_extrema(curve, smoothing_window: int = 5):
         raise InvalidArgumentsError("need at least 10 grid points")
     _check_finite(quotas, values)
     window = max(1, int(smoothing_window))
+    if window > values.size:
+        raise InvalidArgumentsError(
+            f"smoothing window {window} is wider than the {values.size} grid points"
+        )
     if window > 1:
         kernel = np.full(window, 1.0 / window)
         smooth = np.convolve(values, kernel, mode="valid")

@@ -196,6 +196,12 @@ class TestCoalitionWeightCf:
         elementary = 2.0 ** (1 - n) * np.cos(0.5 * t) + _cf_continuous_large(n, t)
         assert np.max(np.abs(series - elementary)) < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_non_finite_arguments_are_rejected(self, n):
+        for t in (math.nan, math.inf, -math.inf, [0.0, math.inf], np.array([1.0, math.nan])):
+            with pytest.raises(InvalidArgumentsError, match="finite"):
+                coalition_weight_cf(n, t)
+
     def test_monte_carlo_product_of_cosines(self):
         # E prod cos(t W_k / 2) is the CF of the coalition weight before
         # centering, up to the carried phase; with the symmetric form the

@@ -111,6 +111,46 @@ class TestUsageErrors:
         assert err.startswith("error:") and "zero denominator" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, options",
+        [
+            (
+                ["indices", "--weights", "0.5,0.3,0.2", "--quota", "0.55",
+                 "--weights-int", "1,2", "--quota-frac", "3/5"],
+                ("--weights", "--weights-int"),
+            ),
+            (["indices", "--weights-int", "1,2", "--quota", "0.5", "--quota-frac", "3/5"],
+             ("--quota", "--quota-frac")),
+            (["indices", "--weights", "0.5,0.5", "--weights-csv", "w.csv", "--quota", "0.6"],
+             ("--weights", "--weights-csv")),
+            (["fixed-curve", "--weights", "0.5,0.5", "--weights-csv", "w.csv"],
+             ("--weights", "--weights-csv")),
+            (["coleman-curve", "--n", "3", "--quota", "0.7", "--quotas", "0.6,0.8"],
+             ("--quota", "--quotas")),
+        ],
+        ids=["weights-and-weights-int", "quota-and-quota-frac", "indices-weights-and-csv",
+             "fixed-curve-weights-and-csv", "quota-and-quotas"],
+    )
+    def test_conflicting_options(self, capsys, argv, options):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+        assert all(option in err for option in options)
+
+    def test_config_default_does_not_conflict(self, tmp_path, capsys):
+        config = tmp_path / "q.cfg"
+        config.write_text("quotas=0.6,0.8\n")
+        argv = ["coleman-curve", "--n", "3", "--quota", "0.7"]
+        expected = run_cli(argv, capsys)
+        assert expected[0] == 0
+        assert run_cli(["--config", str(config), *argv], capsys) == expected
+
+    @pytest.mark.parametrize("ts", ["nan", "0,inf", "1,-inf"])
+    def test_cf_rejects_non_finite_arguments(self, capsys, ts):
+        code, out, err = run_cli(["analytic", "--what", "cf", "--t", ts], capsys)
+        assert (code, out) == (2, "")
+        assert "InvalidArgumentsError" in err and "finite" in err
+
     def test_single_quota_is_a_one_point_grid(self, capsys):
         code, out, err = run_cli(
             ["coleman-curve", "--n", "6", "--method", "normal", "--quota", "0.5"], capsys
@@ -561,6 +601,42 @@ def _beta_n3_rows():
     return rows
 
 
+def _beta_n2_rows():
+    rows = []
+    for q in experiments.default_quota_grid():
+        b1, b2 = analytic.expected_beta_n2(float(q))
+        rows.append((float(q), "beta_rank_1", b1, 0.0, 0))
+        rows.append((float(q), "beta_rank_2", b2, 0.0, 0))
+    return rows
+
+
+def _class_probs_rows():
+    table = analytic.class_table_n3()
+    rows = []
+    for q in experiments.default_quota_grid():
+        for label, prob in table.probabilities(float(q)).items():
+            rows.append((float(q), f"class_{label}", prob, 0.0, 0))
+    return rows
+
+
+_COLEMAN_GRID = (0.55, 0.7, 0.85, 1.0)
+
+
+def _coleman_rows(method):
+    closed_forms = {
+        "inversion": ("coleman", analytic.expected_coleman),
+        "normal": ("coleman_normal", analytic.expected_coleman_normal),
+    }
+    if method in closed_forms:
+        name, formula = closed_forms[method]
+        return [(q, name, formula(5, q), 0.0, 0) for q in _COLEMAN_GRID]
+    estimator = experiments.mc_coleman_curve if method == "mc" else experiments.mc_hoeffding_curve
+    curve = estimator(
+        5, np.array(_COLEMAN_GRID), samples=300, seed=simplex.RandomSeed(7, 0), workers=1
+    )
+    return reference.quota_curve_rows(curve)
+
+
 def _classes_rows():
     catalog = experiments.discover_classes(3, budget=4000, seed=simplex.RandomSeed(6, 0))
     return [
@@ -580,6 +656,17 @@ _GOLDEN = [
     for functional in ("beta", "psi", "coleman")
 ] + [
     pytest.param(
+        [
+            "coleman-curve", "--n", "5", "--method", method, "--samples", "300", "--seed", "7",
+            "--quotas", ",".join(map(str, _COLEMAN_GRID)),
+        ],
+        _CURVE_HEADER,
+        lambda method=method: _coleman_rows(method),
+        id=f"coleman-curve-{method}",
+    )
+    for method in ("inversion", "normal", "mc", "hoeffding-bound")
+] + [
+    pytest.param(
         ["power-curve", "--n", "3", "--samples", "300", "--seed", "4"],
         _CURVE_HEADER, _power_curve_rows, id="power-curve-n3",
     ),
@@ -589,6 +676,13 @@ _GOLDEN = [
     ),
     pytest.param(
         ["analytic", "--what", "beta-n3"], _CURVE_HEADER, _beta_n3_rows, id="analytic-beta-n3",
+    ),
+    pytest.param(
+        ["analytic", "--what", "beta-n2"], _CURVE_HEADER, _beta_n2_rows, id="analytic-beta-n2",
+    ),
+    pytest.param(
+        ["analytic", "--what", "class-probs"], _CURVE_HEADER, _class_probs_rows,
+        id="analytic-class-probs",
     ),
     pytest.param(
         ["classes", "--n", "3", "--budget", "4000", "--seed", "6"],

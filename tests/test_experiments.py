@@ -472,6 +472,14 @@ class TestCountExtrema:
         with pytest.raises(InvalidArgumentsError):
             count_extrema((np.linspace(0.6, 0.9, 5), np.zeros(5)))
 
+    def test_window_wider_than_the_curve_is_rejected(self):
+        quotas = np.linspace(0.51, 0.99, 20)
+        values = np.sin(40 * quotas)
+        assert count_extrema((quotas, values), smoothing_window=5)[0] == 5
+        assert count_extrema((quotas, values), smoothing_window=20)[0] == 0
+        with pytest.raises(InvalidArgumentsError, match="wider"):
+            count_extrema((quotas, values), smoothing_window=25)
+
     def test_non_finite_samples_are_rejected(self):
         quotas = np.linspace(0.51, 0.99, 12)
         for curve in (
