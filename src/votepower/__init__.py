@@ -18,7 +18,6 @@ from .analytic import (
     expected_beta_n2_curve,
     expected_beta_n3,
     expected_beta_n3_curve,
-    expected_beta_n3_pieces,
     expected_coleman,
     expected_coleman_normal,
     extrema_n3,

@@ -1,20 +1,25 @@
 """Closed-form expected-power results for two and three players, and the
 machinery for the expected Coleman index of a random game.
 
-Three-player results are assembled at import time from the catalog of
-game classes: each class carries its normalized index vector and the
-probability (a quadratic in the quota q, split at q = 2/3) that a
-uniformly drawn weight vector lands in it.  Expected ordered indices are
-the class-probability-weighted combinations, kept as exact rationals; the
-coefficients are derived, not transcribed, and satisfy sum-to-one and
-continuity at 2/3 identically.  The second-rank curve has a single
-interior maximum at q = 34/39; the third-rank curve has a local maximum
-at q = 5/9 and a local minimum at q = 13/18 (natures read off the second
+Both small-n results come from a table of game classes: each class
+carries its normalized index vector and, as an exact piecewise
+polynomial in the quota q, the probability that a uniformly drawn weight
+vector lands in it.  Two players have two classes, dictator (1, 0) with
+probability 2 - 2q, since the larger weight is uniform on [1/2, 1], and
+unanimity (1/2, 1/2) with probability 2q - 1.  Three players have five,
+with quadratic probabilities split at q = 2/3.  An expected ordered index
+is the class-probability-weighted sum of the class vectors, taken piece
+by piece in exact rationals, so the coefficients are derived, not
+transcribed, and satisfy sum-to-one and continuity at the edges
+identically.  The three-player second-rank curve has a single interior
+maximum at q = 34/39; the third-rank curve has a local maximum at
+q = 5/9 and a local minimum at q = 13/18 (natures read off the second
 derivative of these exact quadratics).
 
 The Coleman side works with Z = (weight of a uniformly random coalition)
 - 1/2 under the product of the simplex and fair-coin measures.  Its
-characteristic function is an even entire series (a 1F2 hypergeometric).
+characteristic function is an even entire series (a 1F2 hypergeometric),
+evaluated to ~1e-10 for 1 <= n <= CF_N_MAX = 18.
 The expected Coleman index P[Z >= q - 1/2] is the closed-form mixture over
 coalition sizes, E[C] = 2^-n (1 + sum_m C(n, m) P[Beta(m, n-m) >= q]),
 evaluated as an all-positive binomial sum for 1 <= n <= 1000.
@@ -22,6 +27,7 @@ evaluated as an all-positive binomial sum for 1 <= n <= 1000.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +46,6 @@ from .errors import (
 Poly = tuple[Fraction, ...]
 
 
-def _poly(*coeffs) -> Poly:
-    return tuple(Fraction(c) for c in coeffs)
-
-
 def _poly_eval(p: Poly, q):
     acc = p[-1]
     for c in reversed(p[:-1]):
@@ -51,21 +53,18 @@ def _poly_eval(p: Poly, q):
     return acc
 
 
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    size = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(size)
-    )
-
-
-def _poly_scale(p: Poly, factor) -> Poly:
-    return tuple(Fraction(factor) * c for c in p)
-
-
 def _poly_derivative(p: Poly) -> Poly:
     if len(p) <= 1:
         return (Fraction(0),)
     return tuple(Fraction(i) * c for i, c in enumerate(p) if i > 0)
+
+
+def _quota(q) -> float:
+    """``q`` as a float, checked to lie in (1/2, 1]."""
+    q = float(q)
+    if not (0.5 < q <= 1.0):
+        raise InvalidArgumentsError("quota must lie in (1/2, 1]")
+    return q
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,18 @@ class PiecewisePolynomialCurve:
     edges: tuple[Fraction, ...]
     pieces: tuple[Poly, ...]
 
+    def piece(self, q: Fraction) -> Poly:
+        """The piece taken at q: the first whose interval holds it."""
+        if not (self.edges[0] <= q <= self.edges[-1]):
+            raise InvalidArgumentsError("argument outside the curve domain")
+        for edge, piece in zip(self.edges[1:], self.pieces):
+            if q <= edge:
+                return piece
+        raise AssertionError("unreachable")
+
     def value(self, q: float) -> float:
         qf = Fraction(float(q))
-        if not (self.edges[0] <= qf <= self.edges[-1]):
-            raise InvalidArgumentsError("argument outside the curve domain")
-        for i in range(len(self.pieces)):
-            if qf <= self.edges[i + 1]:
-                return float(_poly_eval(self.pieces[i], qf))
-        raise AssertionError("unreachable")
+        return float(_poly_eval(self.piece(qf), qf))
 
     def stationary_points(self) -> list[tuple[Fraction, str]]:
         """Interior extrema with a derivative sign change, exactly.
@@ -117,139 +120,116 @@ class PiecewisePolynomialCurve:
 
 
 # --------------------------------------------------------------------------
-# two players
-
-def expected_beta_n2(q: float) -> tuple[float, float]:
-    """Expected ordered normalized indices for two players: (3/2 - q, q - 1/2)."""
-    q = float(q)
-    if not (0.5 < q <= 1.0):
-        raise InvalidArgumentsError("quota must lie in (1/2, 1]")
-    return tuple(expected_beta_n2_curve(rank).value(q) for rank in (1, 2))
-
-
-def expected_beta_n2_curve(rank: int) -> PiecewisePolynomialCurve:
-    """The rank-1 or rank-2 two-player curve as an exact linear piece."""
-    if rank == 1:
-        poly = _poly(Fraction(3, 2), -1)
-    elif rank == 2:
-        poly = _poly(Fraction(-1, 2), 1)
-    else:
-        raise InvalidArgumentsError("rank must be 1 or 2")
-    return PiecewisePolynomialCurve((Fraction(1, 2), Fraction(1)), (poly,))
-
-
-# --------------------------------------------------------------------------
-# three players: class catalog
+# class tables: the small-n closed forms
 
 @dataclass(frozen=True)
 class GameClassInfo:
     """One equivalence class of games: ordered index vector plus the
-    probability polynomial on each side of the branch point."""
+    probability, as an exact curve in the quota, that a uniformly drawn
+    weight vector lands in it."""
 
     label: str
     beta: tuple[Fraction, ...]
-    prob_low: Poly    # valid for q <= branch point
-    prob_high: Poly   # valid for q >= branch point
+    probability: PiecewisePolynomialCurve
 
 
 @dataclass(frozen=True)
 class ClassTable:
+    """The game classes of n players, whose probabilities sum to 1 at
+    every quota."""
+
     n: int
-    branch_point: Fraction
     classes: tuple[GameClassInfo, ...]
 
     def probabilities(self, q: float) -> dict[str, float]:
-        q = float(q)
-        if not (0.5 < q <= 1.0):
-            raise InvalidArgumentsError("quota must lie in (1/2, 1]")
-        low = q <= self.branch_point
-        return {
-            c.label: float(_poly_eval(c.prob_low if low else c.prob_high, Fraction(q)))
-            for c in self.classes
-        }
+        q = _quota(q)
+        return {c.label: c.probability.value(q) for c in self.classes}
+
+    def expected_beta_curve(self, rank: int) -> PiecewisePolynomialCurve:
+        """E[beta_rank](q) as an exact piecewise polynomial."""
+        if not 1 <= rank <= self.n:
+            raise InvalidArgumentsError(f"rank must lie in 1..{self.n}")
+        return self._expected_beta_curves[rank - 1]
+
+    @functools.cached_property
+    def _expected_beta_curves(self) -> tuple[PiecewisePolynomialCurve, ...]:
+        """Every rank's curve: the classes' index vectors weighted by their
+        probabilities, summed piece by piece over all the classes' edges."""
+        edges = tuple(sorted({e for c in self.classes for e in c.probability.edges}))
+        ranks = [[] for _ in range(self.n)]
+        for lo, hi in zip(edges, edges[1:]):
+            terms = [(c.beta, c.probability.piece((lo + hi) / 2)) for c in self.classes]
+            size = max(len(p) for _, p in terms)
+            for rank, pieces in enumerate(ranks):
+                pieces.append(tuple(
+                    sum(beta[rank] * p[i] for beta, p in terms if i < len(p))
+                    for i in range(size)
+                ))
+        return tuple(PiecewisePolynomialCurve(edges, tuple(p)) for p in ranks)
+
+    def expected_betas(self, q: float) -> tuple[float, ...]:
+        """The expected ordered indices, largest first, at quota q."""
+        q = _quota(q)
+        return tuple(curve.value(q) for curve in self._expected_beta_curves)
 
 
-_TABLE_N3 = ClassTable(
-    n=3,
-    branch_point=Fraction(2, 3),
-    classes=(
-        GameClassInfo(
-            "A",  # only the grand coalition wins
-            (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-            _poly(0),
-            _poly(4, -12, 9),
-        ),
-        GameClassInfo(
-            "B",  # the two heaviest pairs win, the smallest player is a dummy
-            (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
-            _poly(3, -12, 12),
-            _poly(-9, 24, -15),
-        ),
-        GameClassInfo(
-            "C",  # largest player belongs to every winning pair
-            (Fraction(3, 5), Fraction(1, 5), Fraction(1, 5)),
-            _poly(-9, 30, -24),
-            _poly(3, -6, 3),
-        ),
-        GameClassInfo(
-            "D",  # every pair wins
-            (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-            _poly(4, -12, 9),
-            _poly(0),
-        ),
-        GameClassInfo(
-            "E",  # dictator
-            (Fraction(1), Fraction(0), Fraction(0)),
-            _poly(3, -6, 3),
-            _poly(3, -6, 3),
-        ),
-    ),
-)
+def _game_class(label: str, beta, edges, *pieces) -> GameClassInfo:
+    """A class from exact data: numbers or strings such as "1/3" for the
+    index vector, the probability curve's edges and each piece's ascending
+    coefficients."""
+    def exact(values):
+        return tuple(map(Fraction, values))
+
+    curve = PiecewisePolynomialCurve(exact(edges), tuple(map(exact, pieces)))
+    return GameClassInfo(label, exact(beta), curve)
+
+
+_TABLE_N2 = ClassTable(2, (
+    # dictator: the larger weight, uniform on [1/2, 1], reaches q
+    _game_class("A", (1, 0), ("1/2", 1), (2, -2)),
+    # unanimity: only the grand coalition wins
+    _game_class("B", ("1/2", "1/2"), ("1/2", 1), (-1, 2)),
+))
+
+_N3_EDGES = ("1/2", "2/3", 1)
+_TABLE_N3 = ClassTable(3, (
+    # only the grand coalition wins
+    _game_class("A", ("1/3", "1/3", "1/3"), _N3_EDGES, (0,), (4, -12, 9)),
+    # the two heaviest pairs win, the smallest player is a dummy
+    _game_class("B", ("1/2", "1/2", 0), _N3_EDGES, (3, -12, 12), (-9, 24, -15)),
+    # largest player belongs to every winning pair
+    _game_class("C", ("3/5", "1/5", "1/5"), _N3_EDGES, (-9, 30, -24), (3, -6, 3)),
+    # every pair wins
+    _game_class("D", ("1/3", "1/3", "1/3"), _N3_EDGES, (4, -12, 9), (0,)),
+    # dictator
+    _game_class("E", (1, 0, 0), _N3_EDGES, (3, -6, 3), (3, -6, 3)),
+))
+
+
+def expected_beta_n2(q: float) -> tuple[float, float]:
+    """Expected ordered normalized indices for two players: (3/2 - q, q - 1/2)."""
+    return _TABLE_N2.expected_betas(q)
+
+
+def expected_beta_n2_curve(rank: int) -> PiecewisePolynomialCurve:
+    """The rank-1 or rank-2 two-player curve as an exact linear piece."""
+    return _TABLE_N2.expected_beta_curve(rank)
 
 
 def class_table_n3() -> ClassTable:
     """The five three-player game classes with their quota-dependent
-    probabilities (quadratics, branch point 2/3)."""
+    probabilities (quadratics, split at 2/3)."""
     return _TABLE_N3
-
-
-def _combine_branch(which: str) -> tuple[Poly, Poly, Poly]:
-    out = []
-    for rank in range(3):
-        acc: Poly = (Fraction(0),)
-        for cls in _TABLE_N3.classes:
-            poly = cls.prob_low if which == "low" else cls.prob_high
-            acc = _poly_add(acc, _poly_scale(poly, cls.beta[rank]))
-        out.append(acc)
-    return tuple(out)
-
-
-_BETA_N3_LOW = _combine_branch("low")
-_BETA_N3_HIGH = _combine_branch("high")
-
-
-def expected_beta_n3_pieces():
-    """Exact quadratic coefficients of the three expected ordered indices,
-    for q <= 2/3 and q >= 2/3 respectively (ascending powers of q)."""
-    return _BETA_N3_LOW, _BETA_N3_HIGH
 
 
 def expected_beta_n3_curve(rank: int) -> PiecewisePolynomialCurve:
     """One rank's expected-index curve as two exact quadratic pieces."""
-    if rank not in (1, 2, 3):
-        raise InvalidArgumentsError("rank must be 1, 2, or 3")
-    return PiecewisePolynomialCurve(
-        (Fraction(1, 2), Fraction(2, 3), Fraction(1)),
-        (_BETA_N3_LOW[rank - 1], _BETA_N3_HIGH[rank - 1]),
-    )
+    return _TABLE_N3.expected_beta_curve(rank)
 
 
 def expected_beta_n3(q: float) -> tuple[float, float, float]:
     """Expected ordered normalized indices for three players."""
-    q = float(q)
-    if not (0.5 < q <= 1.0):
-        raise InvalidArgumentsError("quota must lie in (1/2, 1]")
-    return tuple(expected_beta_n3_curve(rank).value(q) for rank in (1, 2, 3))
+    return _TABLE_N3.expected_betas(q)
 
 
 @dataclass(frozen=True)
@@ -275,6 +255,13 @@ def extrema_n3() -> tuple[Extremum, ...]:
 
 # --------------------------------------------------------------------------
 # characteristic function of the centered random-coalition weight
+
+# The large-|t| closed form sums alternating binomial terms, so its error
+# grows with n: against 50-digit mpmath over switch < t <= 3 switch + 60 the
+# worst absolute errors are 2.9e-11 at n = 18, 1.2e-10 at n = 19, 2.2e-10
+# at n = 20 and 5e-6 at n = 30.
+CF_N_MAX = 18
+
 
 def _series_switch(n: int) -> float:
     # Below this |t| the alternating series loses at most ~1e-10 absolute;
@@ -347,10 +334,14 @@ def coalition_weight_cf(n: int, t) -> float | np.ndarray:
     value; for a single player it is exactly cos(t/2).  Small |t| uses
     the hypergeometric power series, large |t| an exact elementary
     representation, so the whole real line is covered; a non-finite t
-    is an error.
+    is an error.  Validated to ~1e-10 absolute for n <= CF_N_MAX.
     """
     if n < 1:
         raise InvalidArgumentsError("player count must be at least 1")
+    if n > CF_N_MAX:
+        raise AccuracyUnsupportedError(
+            f"the coalition-weight CF is validated for n <= {CF_N_MAX}"
+        )
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not np.isfinite(arr).all():
         raise InvalidArgumentsError("CF arguments must be finite")
@@ -430,9 +421,7 @@ def expected_coleman(n: int, q: float) -> float:
         raise AccuracyUnsupportedError(
             f"the expected Coleman index is validated for n <= {COLEMAN_N_MAX}"
         )
-    q = float(q)
-    if not (0.5 < q <= 1.0):
-        raise InvalidArgumentsError("quota must lie in (1/2, 1]")
+    q = _quota(q)
     if q == 1.0:
         return 2.0 ** (-n)
     j = np.arange(n - 1)

@@ -182,22 +182,14 @@ def _seed(args) -> simplex.RandomSeed:
     return simplex.RandomSeed(args.seed, args.stream)
 
 
-def _step_series(curve: games.StepCurve):
-    """Staircase (x, y) arrays per series from a piecewise-constant curve."""
+def _step_series(curve: games.StepCurve, names):
+    """Staircase (name, x, y) arrays, one per series name, from a
+    piecewise-constant curve."""
     bps = curve.breakpoints
     lefts = np.concatenate(([0.5], bps[:-1]))
     xs = np.column_stack([lefts, bps]).reshape(-1)
     values = np.atleast_2d(np.asarray(curve.values).T)
-    out = []
-    for p in range(values.shape[0]):
-        ys = np.repeat(values[p], 2)
-        name = (
-            curve.statistic
-            if values.shape[0] == 1
-            else f"{curve.statistic}_player_{p + 1}"
-        )
-        out.append((name, xs, ys))
-    return out
+    return [(name, xs, np.repeat(ys, 2)) for name, ys in zip(names, values)]
 
 
 def _row_columns(rows):
@@ -319,7 +311,7 @@ def _cmd_fixed_curve(args):
     _write_table(args, _CURVE_HEADER, _curve_columns(curve.breakpoints, names, curve.values))
     _maybe_plot(
         args,
-        _step_series(curve),
+        _step_series(curve, names),
         f"fixed-weight {args.functional} vs quota, n={weights.size}",
     )
     return 0

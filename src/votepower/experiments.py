@@ -155,6 +155,14 @@ def _power_values(weights, grid, statistic):
         yield values
 
 
+def _check_kernel_budget(n: int) -> None:
+    """The per-sample enumeration of ``_power_values`` holds 2^n sums."""
+    if n > MC_KERNEL_BUDGET:
+        raise BudgetExceededError(
+            f"vectorized Monte Carlo supports n <= {MC_KERNEL_BUDGET}"
+        )
+
+
 def _hoeffding_values(weights, grid):
     ssq = (weights * weights).sum(axis=1)
     yield np.exp(-2.0 * (grid[:, None] - 0.5) ** 2 / ssq[None, :])
@@ -185,10 +193,6 @@ def _mc_curves(n, quotas, samples, seed, workers, values, names, method="mc"):
         raise InvalidArgumentsError("sample count must be at least 1")
     if n < 1:
         raise InvalidArgumentsError("player count must be at least 1")
-    if n > MC_KERNEL_BUDGET:
-        raise BudgetExceededError(
-            f"vectorized Monte Carlo supports n <= {MC_KERNEL_BUDGET}"
-        )
     if workers < 1:
         raise InvalidArgumentsError("worker count must be at least 1")
     grid = _validate_grid(default_quota_grid() if quotas is None else quotas)
@@ -230,6 +234,7 @@ def mc_power_curve(
     """
     if statistic not in ("beta", "psi"):
         raise InvalidArgumentsError(f"unknown statistic {statistic!r}")
+    _check_kernel_budget(n)
     values = functools.partial(_power_values, statistic=statistic)
     names = [f"{statistic}_rank_{k + 1}" for k in range(n)]
     return _mc_curves(n, quotas, samples, seed, workers, values, names)
@@ -239,6 +244,7 @@ def mc_coleman_curve(
     n: int, quotas=None, samples: int = 65536, seed=0, workers: int = 1
 ) -> QuotaCurve:
     """Monte Carlo mean of the exact per-game Coleman index per quota."""
+    _check_kernel_budget(n)
     values = functools.partial(_power_values, statistic="coleman")
     return _mc_curves(n, quotas, samples, seed, workers, values, ["coleman"])[0]
 
@@ -246,7 +252,11 @@ def mc_coleman_curve(
 def mc_hoeffding_curve(
     n: int, quotas=None, samples: int = 65536, seed=0, workers: int = 1
 ) -> QuotaCurve:
-    """Monte Carlo mean of the per-game Hoeffding bound on the Coleman index."""
+    """Monte Carlo mean of the per-game Hoeffding bound on the Coleman index.
+
+    The bound needs only each sample's sum of squared weights, so unlike
+    the enumerating estimators it takes any n.
+    """
     return _mc_curves(
         n, quotas, samples, seed, workers, _hoeffding_values, ["hoeffding_bound"],
         method="hoeffding-bound",

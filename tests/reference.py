@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import betainc
 
 
@@ -75,6 +76,32 @@ def coleman_mixture_exact(n, q):
         cdf += pmf[m - 1]
         total += math.comb(n, m) * cdf
     return total / (2 ** n * d ** (n - 1))  # one correctly rounded division
+
+
+def coalition_cf_quadrature(n, t):
+    """CF of the centered random-coalition weight by oscillatory quadrature.
+
+    The atoms at weight 0 and 1 give 2^(1-n) cos(t/2); the continuous part
+    is the coalition-size mixture, density
+    f(w) = 2^-n sum_m C(n,m) (n-1) C(n-2,m-1) w^(m-1) (1-w)^(n-m-1), an
+    all-positive sum, integrated against cos(t w) and sin(t w) by QUADPACK's
+    weighted rule, so E cos(t (W - 1/2)) = 2^(1-n) cos(t/2)
+    + cos(t/2) int f cos(t w) + sin(t/2) int f sin(t w).
+    """
+    def density(w):
+        return math.fsum(
+            math.comb(n, m) * (n - 1) * math.comb(n - 2, m - 1)
+            * w ** (m - 1) * (1.0 - w) ** (n - m - 1)
+            for m in range(1, n)
+        ) / 2.0 ** n
+
+    tolerances = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
+    cos_part = quad(density, 0.0, 1.0, weight="cos", wvar=t, **tolerances)[0]
+    sin_part = quad(density, 0.0, 1.0, weight="sin", wvar=t, **tolerances)[0]
+    half = 0.5 * t
+    return (
+        2.0 ** (1 - n) * math.cos(half) + math.cos(half) * cos_part + math.sin(half) * sin_part
+    )
 
 
 def ordered_weight_density_exact(n, k, x):

@@ -146,7 +146,7 @@ def test_c06_small_n_closed_forms():
             for k in range(3):
                 gap = abs(curves3[k].mean[j] - exact3[k])
                 assert gap <= max(0.01, 3.0 * curves3[k].stderr[j]), (3, k + 1, q)
-        low, high = vp.expected_beta_n3_pieces()
+        low, high = zip(*(vp.expected_beta_n3_curve(r).pieces for r in (1, 2, 3)))
         for branch in (low, high):
             assert tuple(sum(p[i] for p in branch) for i in range(3)) == (
                 Fraction(1), Fraction(0), Fraction(0),

@@ -17,14 +17,19 @@ from votepower import (
     expected_beta_n2_curve,
     expected_beta_n3,
     expected_beta_n3_curve,
-    expected_beta_n3_pieces,
     expected_coleman,
     expected_coleman_normal,
     extrema_n3,
     sample_uniform_simplex_batch,
     sum_sq_stats,
 )
-from votepower.analytic import _cf_continuous_large, _cf_series, _poly_eval, _series_switch
+from votepower.analytic import (
+    CF_N_MAX,
+    _cf_continuous_large,
+    _cf_series,
+    _poly_eval,
+    _series_switch,
+)
 
 import reference
 
@@ -68,15 +73,16 @@ class TestClassTable:
 
     def test_all_pairs_class_near_half(self):
         # 9 q^2 - 12 q + 4 at q = 1/2 gives 1/4.
-        low = next(c for c in class_table_n3().classes if c.label == "D").prob_low
+        cls = next(c for c in class_table_n3().classes if c.label == "D")
+        low = cls.probability.pieces[0]
         assert _poly_eval(low, Fraction(1, 2)) == Fraction(1, 4)
 
     def test_probabilities_sum_to_one_identically(self):
         table = class_table_n3()
-        for attr in ("prob_low", "prob_high"):
+        for piece in range(2):
             total = (Fraction(0),)
             for cls in table.classes:
-                poly = getattr(cls, attr)
+                poly = cls.probability.pieces[piece]
                 padded = tuple(poly) + (Fraction(0),) * (3 - len(poly))
                 total = tuple(
                     (total[i] if i < len(total) else 0) + padded[i] for i in range(3)
@@ -87,19 +93,21 @@ class TestClassTable:
         table = class_table_n3()
         grid = np.linspace(0.5, 1.0, 1001)
         for cls in table.classes:
+            branch_point = cls.probability.edges[1]
+            prob_low, prob_high = cls.probability.pieces
             for q in grid:
                 qf = Fraction(float(q))
-                if qf <= table.branch_point:
-                    assert _poly_eval(cls.prob_low, qf) >= -Fraction(1, 10 ** 12)
-                if qf >= table.branch_point:
-                    assert _poly_eval(cls.prob_high, qf) >= -Fraction(1, 10 ** 12)
+                if qf <= branch_point:
+                    assert _poly_eval(prob_low, qf) >= -Fraction(1, 10 ** 12)
+                if qf >= branch_point:
+                    assert _poly_eval(prob_high, qf) >= -Fraction(1, 10 ** 12)
 
     def test_branch_continuity(self):
         table = class_table_n3()
         for cls in table.classes:
-            assert _poly_eval(cls.prob_low, table.branch_point) == _poly_eval(
-                cls.prob_high, table.branch_point
-            )
+            branch_point = cls.probability.edges[1]
+            prob_low, prob_high = cls.probability.pieces
+            assert _poly_eval(prob_low, branch_point) == _poly_eval(prob_high, branch_point)
 
 
 class TestThreePlayerCurves:
@@ -120,13 +128,13 @@ class TestThreePlayerCurves:
         )
 
     def test_branches_sum_to_one_exactly(self):
-        low, high = expected_beta_n3_pieces()
+        low, high = zip(*(expected_beta_n3_curve(r).pieces for r in (1, 2, 3)))
         for branch in (low, high):
             total = tuple(sum(p[i] for p in branch) for i in range(3))
             assert total == (Fraction(1), Fraction(0), Fraction(0))
 
     def test_exact_continuity_at_two_thirds(self):
-        low, high = expected_beta_n3_pieces()
+        low, high = zip(*(expected_beta_n3_curve(r).pieces for r in (1, 2, 3)))
         bp = Fraction(2, 3)
         for lo_poly, hi_poly in zip(low, high):
             assert _poly_eval(lo_poly, bp) == _poly_eval(hi_poly, bp)
@@ -134,7 +142,7 @@ class TestThreePlayerCurves:
     def test_derived_left_branch_coefficients(self):
         # The rank-2 and rank-3 left branches have known printed forms:
         # 21/5 q^2 - 4 q + 31/30 and -9/5 q^2 + 2 q - 7/15.
-        low, _ = expected_beta_n3_pieces()
+        low, _ = zip(*(expected_beta_n3_curve(r).pieces for r in (1, 2, 3)))
         assert low[1] == (Fraction(31, 30), Fraction(-4), Fraction(21, 5))
         assert low[2] == (Fraction(-7, 15), Fraction(2), Fraction(-9, 5))
 
@@ -201,6 +209,21 @@ class TestCoalitionWeightCf:
         for t in (math.nan, math.inf, -math.inf, [0.0, math.inf], np.array([1.0, math.nan])):
             with pytest.raises(InvalidArgumentsError, match="finite"):
                 coalition_weight_cf(n, t)
+
+    @pytest.mark.parametrize("n", [2, 5, CF_N_MAX])
+    def test_matches_quadrature_reference(self, n):
+        switch = _series_switch(n)
+        ts = np.concatenate(
+            [np.linspace(0.5, switch, 9), np.linspace(switch + 1e-9, 3 * switch + 60, 41)]
+        )
+        values = coalition_weight_cf(n, ts)
+        for t, value in zip(ts, values):
+            assert abs(value - reference.coalition_cf_quadrature(n, t)) < 1e-10, t
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 108.0])
+    def test_above_validated_range_is_unsupported(self, t):
+        with pytest.raises(AccuracyUnsupportedError, match=f"n <= {CF_N_MAX}"):
+            coalition_weight_cf(CF_N_MAX + 1, t)
 
     def test_monte_carlo_product_of_cosines(self):
         # E prod cos(t W_k / 2) is the CF of the coalition weight before

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -151,6 +152,13 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "InvalidArgumentsError" in err and "finite" in err
 
+    @pytest.mark.parametrize("above", [1, 32])
+    def test_cf_above_validated_range(self, capsys, above):
+        n = str(analytic.CF_N_MAX + above)
+        code, out, err = run_cli(["analytic", "--what", "cf", "--n", n, "--t", "1,108"], capsys)
+        assert (code, out) == (2, "")
+        assert "AccuracyUnsupportedError" in err
+
     def test_single_quota_is_a_one_point_grid(self, capsys):
         code, out, err = run_cli(
             ["coleman-curve", "--n", "6", "--method", "normal", "--quota", "0.5"], capsys
@@ -231,6 +239,14 @@ class TestColemanCurve:
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert float(rows[-1][2]) == 0.125
+
+    def test_hoeffding_above_enumeration_budget(self, capsys):
+        argv = ["coleman-curve", "--n", "30", "--quotas", "0.6,1.0", "--samples", "512"]
+        code, out, _ = run_cli([*argv, "--method", "hoeffding-bound"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["hoeffding_bound"] * 2
+        assert run_cli([*argv, "--method", "mc"], capsys)[0] == 4
 
 
 class TestExitCodes:
@@ -524,6 +540,24 @@ class TestPlotsAndFiles:
         assert float(first[0]) == 0.7 and first[1] == "beta_player_1"
         assert float(first[2]) == 0.6
 
+    @pytest.mark.parametrize(
+        "weights, functional",
+        [("1", "beta"), ("1", "psi"), ("1", "coleman"), ("0.5,0.3,0.2", "psi")],
+    )
+    def test_fixed_curve_plot_names_series_as_the_table(
+        self, tmp_path, capsys, weights, functional
+    ):
+        svg_path = tmp_path / "curve.svg"
+        code, out, _ = run_cli(
+            ["fixed-curve", "--weights", weights, "--functional", functional,
+             "--plot", str(svg_path)],
+            capsys,
+        )
+        assert code == 0
+        names = {line.split(",")[1] for line in out.strip().splitlines()[1:]}
+        svg = svg_path.read_text()
+        assert all(f">{name}</text>" in svg for name in names)
+
     def test_classes_output(self, capsys):
         code, out, _ = run_cli(
             ["classes", "--n", "2", "--budget", "5000"], capsys
@@ -719,6 +753,28 @@ class TestTableWriter:
         code, out, _ = run_cli([*argv, "--format", fmt], capsys)
         assert code == 0
         assert out == reference.table_text(header, rows(), fmt)
+
+
+class TestClosedFormBytes:
+    """The closed forms' default CSV output, pinned by its sha256 digest.
+
+    ``_GOLDEN`` rebuilds its references from the library, so it cannot see
+    a changed value; a digest changes with any bit of any value.
+    """
+
+    @pytest.mark.parametrize(
+        "what, digest",
+        [
+            ("beta-n2", "d8b1ce4655ce68123e82a1a313daa43744ba7cbc7d336cbf629b62aed8cc8ab5"),
+            ("beta-n3", "646f814e7c7add1cd64a6a0d4d9880f21efe2d9d419bf4793f2f8db01f2dcd36"),
+            ("class-probs", "66d2f4902080749ddee63a451c7e0c7ac57f1fefd66b5be9ac25102de2447836"),
+            ("extrema", "ac32affdd4c45dba7464efff740ff8209c338f5200d4c4547d807cfd3598029f"),
+        ],
+    )
+    def test_default_output_digest(self, capsys, what, digest):
+        code, out, _ = run_cli(["analytic", "--what", what], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class _RecordingStream:

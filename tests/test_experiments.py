@@ -124,6 +124,15 @@ class TestColemanCurve:
         bound = mc_hoeffding_curve(5, grid, samples=2 ** 12, seed=4)
         assert np.all(coleman.mean <= bound.mean + 1e-12)
 
+    def test_hoeffding_needs_no_enumeration(self):
+        n, seed, grid = 30, 5, np.array([0.6, 0.8, 1.0])
+        w = _sorted_weight_chunk(n, seed, 0, 1)[0]
+        bound = mc_hoeffding_curve(n, grid, samples=1, seed=seed)
+        for q, value in zip(grid, bound.mean):
+            assert value == pytest.approx(games.hoeffding_bound(VotingGame(w, q)), rel=1e-12)
+        with pytest.raises(BudgetExceededError):
+            mc_coleman_curve(MC_KERNEL_BUDGET + 1, grid, samples=1, seed=seed)
+
 
 class TestChunkReduction:
     class Trail:
