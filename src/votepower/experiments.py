@@ -30,6 +30,14 @@ _SUM_CELL_BUDGET = 1 << 22
 # Cells a tile of counting holds: per sample its 2^n sums, which become its
 # bin keys, and its histogram entries.  It sets only cache residency.
 _TILE_CELL_BUDGET = 1 << 18
+# The Hoeffding curve holds, per worker, one MC_CHUNK x n weight chunk, and
+# drawing it takes three float64 arrays of that shape: 96 KiB per player.
+# Peak RSS of ``coleman-curve --method hoeffding-bound`` was 132 MB
+# at n = 1000 and 413 MB at n = 4000 on one worker, and 221 MB at n = 1000
+# on two.  n times the workers holding chunks is capped so that the chunks
+# stay within HOEFFDING_RSS_BUDGET bytes.
+HOEFFDING_RSS_BUDGET = 256 << 20
+HOEFFDING_BUDGET = HOEFFDING_RSS_BUDGET // (3 * 8 * MC_CHUNK)  # 2730 players
 
 
 def default_quota_grid() -> np.ndarray:
@@ -255,8 +263,15 @@ def mc_hoeffding_curve(
     """Monte Carlo mean of the per-game Hoeffding bound on the Coleman index.
 
     The bound needs only each sample's sum of squared weights, so unlike
-    the enumerating estimators it takes any n.
+    the enumerating estimators it enumerates nothing.  Its weight chunks
+    bound n instead: n times the workers that hold a chunk at once may be
+    at most ``HOEFFDING_BUDGET``.
     """
+    held = min(workers, -(-samples // MC_CHUNK))  # chunks in memory at once
+    if n * held > HOEFFDING_BUDGET:
+        raise BudgetExceededError(
+            f"the Hoeffding curve supports n * workers <= {HOEFFDING_BUDGET}"
+        )
     return _mc_curves(
         n, quotas, samples, seed, workers, _hoeffding_values, ["hoeffding_bound"],
         method="hoeffding-bound",

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 import reference
 import votepower
 from votepower import ConvergenceFailureError, analytic, experiments, games, simplex
-from votepower.cli import _CURVE_HEADER, _TABLE_BLOCK, _float_text, _write_table, main
+from votepower.cli import (
+    _CURVE_HEADER,
+    _TABLE_BLOCK,
+    _digits_exponent,
+    _float_text,
+    _write_table,
+    main,
+)
 
 
 def run_cli(args, capsys):
@@ -256,6 +263,13 @@ class TestExitCodes:
             ["indices", "--weights", weights, "--quota", "0.6"], capsys
         )
         assert code == 4
+        assert "BudgetExceededError" in err
+
+    def test_hoeffding_budget_error(self, capsys):
+        n = str(experiments.HOEFFDING_BUDGET + 1)
+        argv = ["coleman-curve", "--n", n, "--method", "hoeffding-bound", "--samples", "1"]
+        code, out, err = run_cli([*argv, "--quotas", "0.6"], capsys)
+        assert (code, out) == (4, "")
         assert "BudgetExceededError" in err
 
     def test_convergence_error(self, capsys, monkeypatch):
@@ -600,6 +614,37 @@ def _bits_to_float(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
+def _float_text_mismatches(values):
+    """(value, CSV text, "%.17g" text) wherever the two differ."""
+    expected = ["%.17g" % v for v in values.tolist()]
+    return [
+        (v, got, want)
+        for v, got, want in zip(values.tolist(), _float_text(values), expected)
+        if got != want
+    ]
+
+
+def _kernel_edge_values():
+    """Values at every edge of the vectorized CSV float text, and their
+    negatives: zeros, non-finite values, subnormals, the switches between
+    fixed and exponent notation, the ends of the range the kernel takes
+    without falling back, and dyadic values, among them exact ties."""
+    values = [0.0, math.nan, math.inf, 5e-324, 1e-310, 2.225073858507201e-308]
+    values.append(1.7976931348623157e308)
+    for edge in (1e-5, 1e-4, 1e16, 1e17, 1e-30, 1e30, 0.1, 1.0, 1e-300, 1e300):
+        below = above = edge
+        values.append(edge)
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+            values += [float(below), float(above)]
+    # k + m / 2**17 has 18 significant digits ending in 5: a tie at 17,
+    # rounded to even whichever the digit before it is.
+    values += [k + m * 2.0 ** -17 for k in range(1, 10) for m in (1, 3)]
+    rng = random.Random(18)
+    values += [rng.randrange(1, 2 ** 53) / 2.0 ** j for j in range(64) for _ in range(16)]
+    return values + [-v for v in values]
+
+
 _N12 = random.Random(12)
 # At n = 12 a beta or psi curve has 24576 rows, more than one block of the CSV writer.
 _WEIGHTS = {
@@ -741,6 +786,43 @@ class TestTableWriter:
             expected, expected, format(-value, ".17g")
         ]
 
+    def test_kernel_edge_values(self):
+        values = np.array(_kernel_edge_values())
+        assert _float_text_mismatches(values) == []
+
+    def test_kernel_steps_an_exponent_log10_rounds_up(self):
+        # Both lie just below a power of ten, and log10 rounds them onto it.
+        values = np.array([1e23, 0.09999999999999999])
+        assert np.log10(values).tolist() == [23.0, -1.0]
+        d, e, exact = _digits_exponent(values)
+        assert d.tolist() == [99999999999999992, 99999999999999992]
+        assert e.tolist() == [22, -2] and exact.all()
+
+    def test_table_longer_than_a_block(self, capsys):
+        rng = np.random.default_rng(16)
+        rows = 2 * _TABLE_BLOCK + 5
+        # Runs of two equal neighbours, both notations, both signs, and
+        # magnitudes beyond the kernel's own range.
+        magnitudes = rng.standard_normal(rows) * 10.0 ** rng.integers(-35, 36, rows)
+        x = np.repeat(magnitudes, 2)[:rows]
+        names = [f"series_{i % 3}" for i in range(rows)]
+        header = ("x", "name", "count", "zero")
+        args = argparse.Namespace(format="csv", output=None)
+        _write_table(args, header, [x, names, np.arange(rows), 0.0])
+        expected = zip(x.tolist(), names, range(rows), [0.0] * rows)
+        assert capsys.readouterr().out == reference.table_text(header, expected)
+
+    @pytest.mark.extended
+    def test_kernel_matches_percent_format_in_bulk(self):
+        rng = np.random.default_rng(17)
+        chunk = 10 ** 5  # values per call, which bounds the memory held
+        for _ in range(100):
+            values = rng.integers(0, 2 ** 64, chunk, dtype=np.uint64).view(np.float64)
+            assert _float_text_mismatches(values) == []
+        for j in range(64):
+            values = rng.integers(1, 2 ** 53, chunk) / 2.0 ** j
+            assert _float_text_mismatches(values) == []
+
     def test_signed_zeros_and_nans_keep_their_text(self, capsys):
         args = argparse.Namespace(format="csv", output=None)
         column = np.array([0.0, -0.0, -0.0, math.nan, math.nan])
@@ -775,6 +857,33 @@ class TestClosedFormBytes:
         code, out, _ = run_cli(["analytic", "--what", what], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestFixedCurveBytes:
+    """A two-block fixed-curve CSV (2**11 breakpoints times 12 players is
+    24,576 rows), pinned by its sha256 digest, so that any change of the
+    float text shows."""
+
+    WEIGHTS = (
+        "0.638477,0.519519,0.583047,0.553241,0.590484,0.342294,"
+        "0.741145,0.365004,0.989872,0.697956,0.664937,0.858049"
+    )
+
+    @pytest.mark.parametrize(
+        "functional, digest",
+        [
+            ("beta", "209593d920e382dd4f684b998fa17ff3a045a3ec2096ec126dff28749a39e8be"),
+            ("psi", "f20ed167c0d3ba04c785c449922b0047fa24505a3c33b90b5e0087b224284c3c"),
+        ],
+    )
+    def test_output_digest(self, tmp_path, capsys, functional, digest):
+        path = tmp_path / "f.csv"
+        argv = ["fixed-curve", "--weights", self.WEIGHTS, "--functional", functional]
+        code, _, _ = run_cli([*argv, "--output", str(path)], capsys)
+        assert code == 0
+        data = path.read_bytes()
+        assert data.count(b"\n") == 1 + 2 ** 11 * 12 > 1 + _TABLE_BLOCK
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class _RecordingStream:

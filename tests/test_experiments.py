@@ -133,6 +133,18 @@ class TestColemanCurve:
         with pytest.raises(BudgetExceededError):
             mc_coleman_curve(MC_KERNEL_BUDGET + 1, grid, samples=1, seed=seed)
 
+    def test_hoeffding_budget(self):
+        budget = experiments.HOEFFDING_BUDGET
+        assert budget * 3 * 8 * MC_CHUNK <= experiments.HOEFFDING_RSS_BUDGET
+        with pytest.raises(BudgetExceededError, match=f"n \\* workers <= {budget}"):
+            mc_hoeffding_curve(budget + 1, [0.6], samples=1)
+        # Two chunks on two workers are held at once; one chunk is held once.
+        n = budget // 2 + 1
+        with pytest.raises(BudgetExceededError):
+            mc_hoeffding_curve(n, [0.6], samples=MC_CHUNK + 1, workers=2)
+        with pytest.raises(BudgetExceededError):
+            mc_hoeffding_curve(budget + 1, [0.6], samples=1, workers=2)
+
 
 class TestChunkReduction:
     class Trail:
