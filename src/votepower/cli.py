@@ -15,6 +15,11 @@ a time by the vectorized kernel ``_g17``, which hands the few values it
 cannot decide exactly to Python's ``%`` one by one; JSON floats keep
 ``repr``, as ``json.dumps`` writes them.
 
+Start-up is a large part of a short run, so each subcommand's handler
+imports the submodules it calls, and a run loads no others.  Before
+numpy is imported, ``OPENBLAS_NUM_THREADS`` defaults to 1 (a value that
+is already set is kept), so no idle BLAS threads spin in the process.
+
 Exit codes: 0 success, 2 usage error, 3 numeric convergence failure,
 4 enumeration or memory budget exceeded.
 """
@@ -30,16 +35,20 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
+# numpy starts OpenBLAS's thread pool on import, and its idle threads spin
+# for about 100 ms of CPU per process; no BLAS call here is large enough to
+# use a second thread.  A value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import analytic, experiments, games, simplex, weightdist
-from .errors import (
+import numpy as np  # noqa: E402
+
+from .errors import (  # noqa: E402
     BudgetExceededError,
     ConvergenceFailureError,
     InvalidArgumentsError,
     VotePowerError,
 )
-from .svgplot import emit_plot
+from .svgplot import emit_plot  # noqa: E402
 
 _CURVE_HEADER = ("quota", "series-name", "mean", "standard-error", "samples")
 
@@ -317,6 +326,8 @@ def _parse_fraction(text: str) -> tuple[int, int]:
 
 
 def _weights_from_args(args) -> np.ndarray:
+    from . import simplex
+
     if args.weights_csv:
         values = np.loadtxt(args.weights_csv, delimiter=",", ndmin=1)
         return simplex.as_weight_vector(values, normalize=True)
@@ -326,6 +337,8 @@ def _weights_from_args(args) -> np.ndarray:
 
 
 def _game_from_args(args) -> games.VotingGame:
+    from . import games
+
     if args.weights_int:
         if not args.quota_frac:
             raise argparse.ArgumentTypeError("--weights-int requires --quota-frac")
@@ -337,6 +350,8 @@ def _game_from_args(args) -> games.VotingGame:
 
 
 def _quota_grid_from_args(args) -> np.ndarray:
+    from . import experiments
+
     if args.quotas:
         return experiments._validate_grid(_parse_floats(args.quotas))
     return experiments.default_quota_grid()
@@ -348,6 +363,8 @@ def _maybe_plot(args, series, caption):
 
 
 def _seed(args) -> simplex.RandomSeed:
+    from . import simplex
+
     return simplex.RandomSeed(args.seed, args.stream)
 
 
@@ -395,6 +412,8 @@ def _quota_curve_columns(curves):
 # subcommands
 
 def _cmd_sample_weights(args):
+    from . import simplex
+
     draws = simplex.sample_uniform_simplex_batch(args.n, args.samples, _seed(args))
     header = tuple(f"w{i + 1}" for i in range(args.n))
     _write_table(args, header, list(draws.T))
@@ -402,12 +421,16 @@ def _cmd_sample_weights(args):
 
 
 def _cmd_expected_weights(args):
+    from . import weightdist
+
     values = weightdist.expected_ordered_weights(args.n)
     _write_table(args, ("k", "expected"), [np.arange(1, args.n + 1), values])
     return 0
 
 
 def _cmd_weight_density(args):
+    from . import weightdist
+
     if args.points < 1:
         raise InvalidArgumentsError("--points must be at least 1")
     lo, hi = weightdist.ordered_weight_support(args.n, args.k)
@@ -425,6 +448,8 @@ def _cmd_weight_density(args):
 
 
 def _cmd_moments(args):
+    from . import weightdist
+
     rows = []
     if args.m:
         exponents = _parse_ints(args.m)
@@ -442,6 +467,8 @@ def _cmd_moments(args):
 
 
 def _cmd_indices(args):
+    from . import games
+
     game = _game_from_args(args)
     profile = games.banzhaf(game)
     idle = (np.flatnonzero(profile.psi == 0) + 1).tolist()
@@ -472,6 +499,8 @@ def _cmd_indices(args):
 
 
 def _cmd_fixed_curve(args):
+    from . import games
+
     weights = _weights_from_args(args)
     curve = games.fixed_weight_quota_curve(weights, args.functional)
     names = [curve.statistic]
@@ -487,6 +516,8 @@ def _cmd_fixed_curve(args):
 
 
 def _cmd_power_curve(args):
+    from . import experiments
+
     grid = _quota_grid_from_args(args)
     curves = experiments.mc_power_curve(
         args.n,
@@ -506,6 +537,8 @@ def _cmd_power_curve(args):
 
 
 def _cmd_coleman_curve(args):
+    from . import analytic, experiments
+
     if args.quota is not None:
         grid = experiments._validate_grid([args.quota])
     else:
@@ -535,6 +568,8 @@ def _cmd_coleman_curve(args):
 
 
 def _cmd_classes(args):
+    from . import experiments
+
     catalog = experiments.discover_classes(args.n, budget=args.budget, seed=_seed(args))
     rows = [
         (idx, ";".join(_fmt(b) for b in cls.beta), cls.hits)
@@ -545,6 +580,8 @@ def _cmd_classes(args):
 
 
 def _cmd_spline_fit(args):
+    from . import experiments
+
     series, quotas, values = _read_series_csv(args.input, args.series)
     knots = "auto" if args.breakpoints == "auto" else _parse_floats(args.breakpoints)
     fit = experiments.fit_spline(
@@ -595,6 +632,8 @@ def _read_series_csv(path: str, series: str | None):
 
 
 def _cmd_analytic(args):
+    from . import analytic
+
     what = args.what
     players = {"beta-n2": 2, "cf": None}.get(what, 3)  # the closed forms' player count
     if players and args.n not in (None, players):

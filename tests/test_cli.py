@@ -316,11 +316,17 @@ class TestExitCodes:
         assert proc.returncode == 2
 
 
-def fresh_interpreter(code):
-    """Run ``code`` in a new Python process that imports this votepower."""
+def fresh_interpreter(code, **variables):
+    """Run ``code`` in a new Python process that imports this votepower;
+    ``variables`` set its environment variables (None unsets one)."""
     package_root = str(Path(votepower.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
+    for key, value in variables.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
@@ -341,6 +347,95 @@ class TestImport:
         )
         assert proc.stdout.startswith("quota,series-name,")
         assert proc.stderr.strip() == "0 False"
+
+    def test_package_import_loads_no_submodule_or_numpy(self):
+        proc = fresh_interpreter(
+            "import sys, votepower; "
+            "print([m for m in sys.modules if m == 'numpy' or m.startswith('votepower.')])"
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_public_names_are_unchanged(self):
+        assert votepower.__all__ == sorted(PUBLIC_NAMES.split())
+
+    def test_public_names_resolve_lazily_to_their_submodules(self):
+        # Each name is looked up first in a fresh process, through the lazy
+        # path, and must be the object its defining submodule holds.
+        proc = fresh_interpreter(
+            "import importlib, sys, types, votepower\n"
+            "for name in votepower.__all__:\n"
+            "    value = getattr(votepower, name)\n"
+            "    if isinstance(value, types.ModuleType):\n"
+            "        ok = value is sys.modules['votepower.' + name]\n"
+            "    else:\n"
+            "        home = importlib.import_module(value.__module__)\n"
+            "        ok = value.__module__.startswith('votepower.') and getattr(home, name) is value\n"
+            "    print(name, ok)\n"
+        )
+        lines = proc.stdout.split("\n")[:-1]
+        assert lines == [f"{name} True" for name in votepower.__all__]
+
+    def test_dir_lists_public_names_and_unknown_names_raise(self):
+        assert set(votepower.__all__) <= set(dir(votepower))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            votepower.no_such_name
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["expected-weights", "--n", "6"], ["games", "experiments", "analytic"]),
+            (["moments", "--n", "4", "--m", "2,1,0,0", "--sum-sq"],
+             ["games", "experiments", "analytic"]),
+            (["indices", "--weights", "0.5,0.3,0.2", "--quota", "0.55"],
+             ["experiments", "analytic", "weightdist"]),
+        ],
+        ids=["expected-weights", "moments", "indices"],
+    )
+    def test_subcommand_imports_only_what_it_uses(self, argv, absent):
+        proc = fresh_interpreter(
+            "import sys; from votepower.cli import main; "
+            f"code = main({argv!r}); "
+            f"print(code, [m for m in {absent!r} if 'votepower.' + m in sys.modules], "
+            "file=sys.stderr)"
+        )
+        assert proc.stdout
+        assert proc.stderr.strip() == "0 []"
+
+    @pytest.mark.parametrize("parent, seen", [(None, "1"), ("2", "2")])
+    def test_cli_defaults_openblas_threads_to_one(self, parent, seen):
+        proc = fresh_interpreter(
+            "import os, votepower.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))",
+            OPENBLAS_NUM_THREADS=parent,
+        )
+        assert proc.stdout.strip() == seen
+
+    def test_library_use_leaves_openblas_threads_unset(self):
+        proc = fresh_interpreter(
+            "import os, votepower; votepower.banzhaf; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))",
+            OPENBLAS_NUM_THREADS=None,
+        )
+        assert proc.stdout.strip() == "None"
+
+
+PUBLIC_NAMES = """
+AccuracyUnsupportedError BudgetExceededError ClassTable ConvergenceFailureError
+DegenerateDistributionError Extremum GameClass GameClassCatalog GameClassInfo
+InvalidArgumentsError InvalidDimensionError InvalidRankError OrderedWeights
+PiecewisePolynomialCurve PowerProfile QuotaCurve RandomSeed SplineFit StepCurve
+VotePowerError VotingGame analytic as_weight_vector banzhaf class_table_n3
+coalition_weight_cf coleman_error_ratio count_extrema count_winning_mitm
+count_winning_naive default_quota_grid discover_classes dummies errors
+expected_beta_n2 expected_beta_n2_curve expected_beta_n3 expected_beta_n3_curve
+expected_coleman expected_coleman_normal expected_ordered_weight
+expected_ordered_weight_exact expected_ordered_weights experiments extrema_n3
+fit_spline fixed_weight_quota_curve games hoeffding_bound is_winning
+mc_coleman_curve mc_hoeffding_curve mc_power_curve optimal_quota_diagnostic
+order_descending ordered_weight_breakpoints ordered_weight_cdf
+ordered_weight_density ordered_weight_support power_sum_moment product_moment
+product_moment_exact renyi_partial_sums sample_uniform_simplex
+sample_uniform_simplex_batch simplex sum_sq_stats weightdist
+"""
 
 
 class TestDeterminismAndRoundTrip:
