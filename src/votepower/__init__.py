@@ -49,7 +49,6 @@ _EXPORTS = {
         "QuotaCurve",
         "SplineFit",
         "count_extrema",
-        "default_quota_grid",
         "discover_classes",
         "fit_spline",
         "mc_coleman_curve",
@@ -70,10 +69,9 @@ _EXPORTS = {
         "optimal_quota_diagnostic",
     ),
     "simplex": (
-        "OrderedWeights",
         "RandomSeed",
         "as_weight_vector",
-        "order_descending",
+        "default_quota_grid",
         "renyi_partial_sums",
         "sample_uniform_simplex",
         "sample_uniform_simplex_batch",

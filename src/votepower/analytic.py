@@ -39,6 +39,7 @@ from .errors import (
     ConvergenceFailureError,
     InvalidArgumentsError,
 )
+from .simplex import as_player_count, as_quota
 
 # --------------------------------------------------------------------------
 # small exact-polynomial helpers (coefficients ascending, Fraction-valued)
@@ -57,14 +58,6 @@ def _poly_derivative(p: Poly) -> Poly:
     if len(p) <= 1:
         return (Fraction(0),)
     return tuple(Fraction(i) * c for i, c in enumerate(p) if i > 0)
-
-
-def _quota(q) -> float:
-    """``q`` as a float, checked to lie in (1/2, 1]."""
-    q = float(q)
-    if not (0.5 < q <= 1.0):
-        raise InvalidArgumentsError("quota must lie in (1/2, 1]")
-    return q
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,7 @@ class ClassTable:
     classes: tuple[GameClassInfo, ...]
 
     def probabilities(self, q: float) -> dict[str, float]:
-        q = _quota(q)
+        q = as_quota(q)
         return {c.label: c.probability.value(q) for c in self.classes}
 
     def expected_beta_curve(self, rank: int) -> PiecewisePolynomialCurve:
@@ -169,7 +162,7 @@ class ClassTable:
 
     def expected_betas(self, q: float) -> tuple[float, ...]:
         """The expected ordered indices, largest first, at quota q."""
-        q = _quota(q)
+        q = as_quota(q)
         return tuple(curve.value(q) for curve in self._expected_beta_curves)
 
 
@@ -336,8 +329,7 @@ def coalition_weight_cf(n: int, t) -> float | np.ndarray:
     representation, so the whole real line is covered; a non-finite t
     is an error.  Validated to ~1e-10 absolute for n <= CF_N_MAX.
     """
-    if n < 1:
-        raise InvalidArgumentsError("player count must be at least 1")
+    n = as_player_count(n)
     if n > CF_N_MAX:
         raise AccuracyUnsupportedError(
             f"the coalition-weight CF is validated for n <= {CF_N_MAX}"
@@ -415,13 +407,12 @@ def expected_coleman(n: int, q: float) -> float:
     full relative accuracy.  Validated for n <= COLEMAN_N_MAX (2^-n
     underflows past n = 1074); q = 1 leaves only the grand coalition, 2^-n.
     """
-    if n < 1:
-        raise InvalidArgumentsError("player count must be at least 1")
+    n = as_player_count(n)
     if n > COLEMAN_N_MAX:
         raise AccuracyUnsupportedError(
             f"the expected Coleman index is validated for n <= {COLEMAN_N_MAX}"
         )
-    q = _quota(q)
+    q = as_quota(q)
     if q == 1.0:
         return 2.0 ** (-n)
     j = np.arange(n - 1)
@@ -435,8 +426,7 @@ def expected_coleman_normal(n: int, q: float) -> float:
     Unlike the exact curve and every quota grid, which take q in (1/2, 1],
     this accepts the closed interval [1/2, 1]: at q = 1/2 it is exactly 1/2.
     """
-    if n < 1:
-        raise InvalidArgumentsError("player count must be at least 1")
+    n = as_player_count(n)
     q = float(q)
     if not (0.5 <= q <= 1.0):
         raise InvalidArgumentsError("quota must lie in [1/2, 1]")
@@ -452,8 +442,7 @@ def coleman_error_ratio(n: int, y: float) -> float:
     inverse normal CDF; the denominator inverts the exact mixture curve
     by bracketed root finding (the curve is strictly decreasing in q).
     """
-    if n < 1:
-        raise InvalidArgumentsError("player count must be at least 1")
+    n = as_player_count(n)
     y = float(y)
     if not (2.0 ** (-2 * n) <= y <= 0.5):
         raise InvalidArgumentsError("target value outside [2^-2n, 1/2]")

@@ -350,11 +350,11 @@ def _game_from_args(args) -> games.VotingGame:
 
 
 def _quota_grid_from_args(args) -> np.ndarray:
-    from . import experiments
+    from . import simplex
 
     if args.quotas:
-        return experiments._validate_grid(_parse_floats(args.quotas))
-    return experiments.default_quota_grid()
+        return simplex.as_quota_grid(_parse_floats(args.quotas))
+    return simplex.default_quota_grid()
 
 
 def _maybe_plot(args, series, caption):
@@ -537,10 +537,10 @@ def _cmd_power_curve(args):
 
 
 def _cmd_coleman_curve(args):
-    from . import analytic, experiments
+    from . import analytic, simplex
 
     if args.quota is not None:
-        grid = experiments._validate_grid([args.quota])
+        grid = simplex.as_quota_grid([args.quota])
     else:
         grid = _quota_grid_from_args(args)
     caption = f"expected Coleman index, n={args.n} method={args.method}"
@@ -551,6 +551,8 @@ def _cmd_coleman_curve(args):
         columns = _curve_columns(grid, ["coleman" if exact else "coleman_normal"], values)
         label = f"coleman_{args.method}"
     else:  # Monte Carlo estimators
+        from . import experiments
+
         mc = args.method == "mc"
         estimator = experiments.mc_coleman_curve if mc else experiments.mc_hoeffding_curve
         curve = estimator(

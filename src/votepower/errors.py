@@ -5,16 +5,18 @@ class VotePowerError(Exception):
     """Base class for library-specific failures."""
 
 
-class InvalidDimensionError(VotePowerError, ValueError):
-    """Player count is zero or otherwise unusable."""
+class InvalidArgumentsError(VotePowerError, ValueError):
+    """Arguments violate a documented precondition."""
+
+
+class InvalidDimensionError(InvalidArgumentsError):
+    """Player count is not an integer at least 1, or a weight vector is
+    empty.  A kind of invalid argument, so a caller catching
+    ``InvalidArgumentsError`` catches it too."""
 
 
 class InvalidRankError(VotePowerError, ValueError):
-    """Order-statistic rank k outside 1..n."""
-
-
-class InvalidArgumentsError(VotePowerError, ValueError):
-    """Arguments violate a documented precondition."""
+    """Order-statistic rank k is not an integer in 1..n."""
 
 
 class DegenerateDistributionError(VotePowerError):

@@ -20,7 +20,14 @@ import numpy as np
 
 from . import analytic, games
 from .errors import BudgetExceededError, InvalidArgumentsError
-from .simplex import _simplex_rows, as_seed
+from .simplex import (
+    _simplex_rows,
+    as_count,
+    as_player_count,
+    as_quota_grid,
+    as_seed,
+    default_quota_grid,
+)
 
 MC_CHUNK = 4096
 MC_KERNEL_BUDGET = 18          # vectorized per-sample enumeration cap
@@ -40,11 +47,6 @@ HOEFFDING_RSS_BUDGET = 256 << 20
 HOEFFDING_BUDGET = HOEFFDING_RSS_BUDGET // (3 * 8 * MC_CHUNK)  # 2730 players
 
 
-def default_quota_grid() -> np.ndarray:
-    """99 equispaced quotas from 0.505 to 0.995, plus the unanimity point."""
-    return np.append(np.linspace(0.505, 0.995, 99), 1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class QuotaCurve:
     """Per-quota statistics of one scalar series."""
@@ -57,19 +59,9 @@ class QuotaCurve:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _validate_grid(self.quotas)
+        as_quota_grid(self.quotas)
         if np.any(np.asarray(self.stderr) < 0) or np.any(np.asarray(self.samples) <= 0):
             raise InvalidArgumentsError("standard errors must be >= 0, samples > 0")
-
-
-def _validate_grid(quotas) -> np.ndarray:
-    grid = np.asarray(quotas, dtype=np.float64).reshape(-1)
-    # Negated comparisons, so that a NaN quota fails them.
-    if grid.size == 0 or not np.all(np.diff(grid) > 0):
-        raise InvalidArgumentsError("quota grid must be strictly increasing")
-    if not (0.5 < grid[0] and grid[-1] <= 1.0):
-        raise InvalidArgumentsError("quota grid must lie in (1/2, 1]")
-    return grid
 
 
 def _chunk_games(n: int, seed, chunk_index: int, count: int):
@@ -163,6 +155,15 @@ def _power_values(weights, grid, statistic):
         yield values
 
 
+def _mc_counts(n, samples, workers) -> tuple[int, int, int]:
+    """The Monte Carlo estimators' counts, each checked to be an integer >= 1."""
+    return (
+        as_player_count(n),
+        as_count(samples, "sample count"),
+        as_count(workers, "worker count"),
+    )
+
+
 def _check_kernel_budget(n: int) -> None:
     """The per-sample enumeration of ``_power_values`` holds 2^n sums."""
     if n > MC_KERNEL_BUDGET:
@@ -195,15 +196,10 @@ def _mc_curves(n, quotas, samples, seed, workers, values, names, method="mc"):
 
     ``values(weights, grid)`` maps a chunk of descending-sorted weight
     vectors, one row per sample, to blocks of values with the samples on
-    the last axis; the axes after the grid give one curve per name.
+    the last axis; the axes after the grid give one curve per name.  The
+    callers have checked n, samples and workers with ``_mc_counts``.
     """
-    if samples < 1:
-        raise InvalidArgumentsError("sample count must be at least 1")
-    if n < 1:
-        raise InvalidArgumentsError("player count must be at least 1")
-    if workers < 1:
-        raise InvalidArgumentsError("worker count must be at least 1")
-    grid = _validate_grid(default_quota_grid() if quotas is None else quotas)
+    grid = as_quota_grid(default_quota_grid() if quotas is None else quotas)
     base = as_seed(seed)
 
     def worker(index, count):
@@ -242,6 +238,7 @@ def mc_power_curve(
     """
     if statistic not in ("beta", "psi"):
         raise InvalidArgumentsError(f"unknown statistic {statistic!r}")
+    n, samples, workers = _mc_counts(n, samples, workers)
     _check_kernel_budget(n)
     values = functools.partial(_power_values, statistic=statistic)
     names = [f"{statistic}_rank_{k + 1}" for k in range(n)]
@@ -252,6 +249,7 @@ def mc_coleman_curve(
     n: int, quotas=None, samples: int = 65536, seed=0, workers: int = 1
 ) -> QuotaCurve:
     """Monte Carlo mean of the exact per-game Coleman index per quota."""
+    n, samples, workers = _mc_counts(n, samples, workers)
     _check_kernel_budget(n)
     values = functools.partial(_power_values, statistic="coleman")
     return _mc_curves(n, quotas, samples, seed, workers, values, ["coleman"])[0]
@@ -267,6 +265,7 @@ def mc_hoeffding_curve(
     bound n instead: n times the workers that hold a chunk at once may be
     at most ``HOEFFDING_BUDGET``.
     """
+    n, samples, workers = _mc_counts(n, samples, workers)
     held = min(workers, -(-samples // MC_CHUNK))  # chunks in memory at once
     if n * held > HOEFFDING_BUDGET:
         raise BudgetExceededError(
@@ -362,10 +361,9 @@ def discover_classes(n: int, budget: int = 10 ** 6, seed=0) -> GameClassCatalog:
     large budget finds more families than its 11971 (11993 at budget
     300000, seed 11), each one a strictly weighted game.
     """
+    n, budget = as_player_count(n), as_count(budget, "budget")
     if not (2 <= n <= 7):
         raise InvalidArgumentsError("class discovery supports 2 <= n <= 7")
-    if budget < 1:
-        raise InvalidArgumentsError("budget must be at least 1")
     base = as_seed(seed)
 
     def worker(index, count):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidArgumentsError
-from .simplex import as_weight_vector
+from .simplex import as_quota, as_weight_vector
 
 NAIVE_BUDGET = 30      # full 2^n enumeration
 MITM_BUDGET = 48       # meet in the middle, 2^(n/2) memory
@@ -81,9 +81,7 @@ class VotingGame:
     def __post_init__(self):
         w = as_weight_vector(self.weights)
         object.__setattr__(self, "weights", w)
-        q = float(self.quota)
-        if not (0.5 < q <= 1.0):
-            raise InvalidArgumentsError(f"quota must lie in (1/2, 1], got {q!r}")
+        q = as_quota(self.quota)
         object.__setattr__(self, "quota", q)
         if (self.int_weights is None) != (self.quota_fraction is None):
             raise InvalidArgumentsError(
@@ -393,10 +391,7 @@ class StepCurve:
     statistic: str
 
     def value_at(self, q: float):
-        q = float(q)
-        if not (0.5 < q <= 1.0):
-            raise InvalidArgumentsError("quota must lie in (1/2, 1]")
-        piece = int(np.searchsorted(self.breakpoints, q, side="left"))
+        piece = int(np.searchsorted(self.breakpoints, as_quota(q), side="left"))
         return self.values[piece]
 
 

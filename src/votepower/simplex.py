@@ -1,4 +1,12 @@
-"""Uniform sampling on the probability simplex and ordering helpers.
+"""Uniform sampling on the probability simplex, and the package's input
+checks.
+
+Every result is a function of a player count n and a quota q, and this
+module alone decides what those may be.  ``as_player_count`` takes an
+integer n >= 1, not a bool, and returns a Python int, so arithmetic on n
+stays exact; ``as_count`` checks the other counts (samples, workers,
+budgets) the same way.  ``as_quota`` and ``as_quota_grid`` take quotas in
+(1/2, 1], a grid strictly increasing.
 
 Weight vectors are plain float64 numpy arrays with non-negative entries
 summing to one.  Sampling uses the classic construction (normalize n
@@ -70,6 +78,47 @@ def as_seed(seed) -> RandomSeed:
     raise InvalidArgumentsError(f"cannot interpret {seed!r} as a random seed")
 
 
+def as_count(value, what: str, *, error=InvalidArgumentsError) -> int:
+    """``value`` as a Python int, checked to be an integer (Python or numpy,
+    not a bool) of at least 1; ``what`` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(f"{what} must be at least 1")
+    return int(value)
+
+
+def as_player_count(n) -> int:
+    """``n`` as a Python int player count of at least 1.  A numpy integer
+    becomes a Python int, so binomial weights and 2^n stay exact."""
+    return as_count(n, "player count", error=InvalidDimensionError)
+
+
+def as_quota(q) -> float:
+    """``q`` as a float, checked to lie in (1/2, 1]; NaN fails."""
+    q = float(q)
+    if not (0.5 < q <= 1.0):
+        raise InvalidArgumentsError(f"quota must lie in (1/2, 1], got {q!r}")
+    return q
+
+
+def as_quota_grid(quotas) -> np.ndarray:
+    """``quotas`` as a float64 grid, checked to be non-empty, strictly
+    increasing and inside (1/2, 1]."""
+    grid = np.asarray(quotas, dtype=np.float64).reshape(-1)
+    # Negated comparisons, so that a NaN quota fails them.
+    if grid.size == 0 or not np.all(np.diff(grid) > 0):
+        raise InvalidArgumentsError("quota grid must be strictly increasing")
+    if not (0.5 < grid[0] and grid[-1] <= 1.0):
+        raise InvalidArgumentsError("quota grid must lie in (1/2, 1]")
+    return grid
+
+
+def default_quota_grid() -> np.ndarray:
+    """99 equispaced quotas from 0.505 to 0.995, plus the unanimity point."""
+    return np.append(np.linspace(0.505, 0.995, 99), 1.0)
+
+
 def as_weight_vector(values, *, normalize: bool = False) -> np.ndarray:
     """Validate ``values`` as a weight vector and return a float64 copy.
 
@@ -106,10 +155,7 @@ def sample_uniform_simplex_batch(n: int, size: int, seed) -> np.ndarray:
     pairwise summation, which keeps |sum - 1| well below SUM_TOLERANCE
     for any practical n.
     """
-    if n < 1:
-        raise InvalidDimensionError("player count must be at least 1")
-    if size < 1:
-        raise InvalidArgumentsError("size must be at least 1")
+    n, size = as_player_count(n), as_count(size, "size")
     return _simplex_rows(as_seed(seed).generator(), n, size)
 
 
@@ -126,38 +172,6 @@ def _simplex_rows(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 def sample_uniform_simplex(n: int, seed) -> np.ndarray:
     """Draw one weight vector uniform on the n-simplex."""
     return sample_uniform_simplex_batch(n, 1, seed)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class OrderedWeights:
-    """A descending-sorted weight vector plus the permutation that made it.
-
-    ``permutation[k]`` is the source index whose weight landed at rank k,
-    so ``weights == source[permutation]`` exactly.
-    """
-
-    weights: np.ndarray
-    permutation: np.ndarray
-
-    def restore(self) -> np.ndarray:
-        """Invert the sort, recovering the source vector bit for bit."""
-        out = np.empty_like(self.weights)
-        out[self.permutation] = self.weights
-        return out
-
-
-def order_descending(weights) -> OrderedWeights:
-    """Sort a weight vector in non-increasing order.
-
-    Ties keep their original relative order (stable sort on the negated
-    values), so the permutation is deterministic for any input.
-    """
-    w = as_weight_vector(weights)
-    perm = np.argsort(-w, kind="stable")
-    ordered = w[perm]
-    ordered.setflags(write=False)
-    perm.setflags(write=False)
-    return OrderedWeights(ordered, perm)
 
 
 def renyi_partial_sums(weights) -> np.ndarray:

@@ -31,28 +31,33 @@ from .errors import (
     InvalidArgumentsError,
     InvalidRankError,
 )
+from .simplex import as_count, as_player_count
 
 DENSITY_N_MAX = 64
 
 
-def _check_rank(n: int, k: int) -> None:
-    if n < 1:
-        raise InvalidArgumentsError("player count must be at least 1")
-    if not (1 <= k <= n):
-        raise InvalidRankError(f"rank k={k} outside 1..{n}")
+def _check_rank(n: int, k: int) -> int:
+    """The player count n as an int, once n and the rank k are checked."""
+    n = as_player_count(n)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise InvalidRankError(f"rank k={k!r} is not an integer in 1..{n}")
+    return n
 
 
-def _check_density_args(n: int, k: int) -> None:
-    if n == 1:
+def _check_density_args(n: int, k: int) -> int:
+    """The player count n as an int, once n, k and the validated range are
+    checked."""
+    if as_player_count(n) == 1:
         raise DegenerateDistributionError(
             "for a single player the largest weight is the constant 1; "
             "there is no density"
         )
-    _check_rank(n, k)
+    n = _check_rank(n, k)
     if n > DENSITY_N_MAX:
         raise AccuracyUnsupportedError(
             f"density evaluation is validated for n <= {DENSITY_N_MAX}"
         )
+    return n
 
 
 def expected_ordered_weight(n: int, k: int) -> float:
@@ -62,20 +67,19 @@ def expected_ordered_weight(n: int, k: int) -> float:
 
 def expected_ordered_weight_exact(n: int, k: int) -> Fraction:
     """Exact rational value of the expected k-th largest weight."""
-    _check_rank(n, k)
+    n = _check_rank(n, k)
     return Fraction(sum(Fraction(1, j) for j in range(k, n + 1)), n)
 
 
 def expected_ordered_weights(n: int) -> np.ndarray:
     """All n expected ordered weights, largest first."""
-    if n < 1:
-        raise InvalidArgumentsError("player count must be at least 1")
+    n = as_player_count(n)
     return np.array([expected_ordered_weight(n, k) for k in range(1, n + 1)])
 
 
 def ordered_weight_support(n: int, k: int) -> tuple[float, float]:
     """Support interval of the k-th largest weight's distribution."""
-    _check_density_args(n, k)
+    n = _check_density_args(n, k)
     return (1.0 / n, 1.0) if k == 1 else (0.0, 1.0 / k)
 
 
@@ -92,7 +96,7 @@ def ordered_weight_density(n: int, k: int, x: float) -> float:
     Returns exactly 0.0 outside the support and the correctly rounded
     exact value inside it.
     """
-    _check_density_args(n, k)
+    n = _check_density_args(n, k)
     x = float(x)
     if math.isnan(x):
         raise InvalidArgumentsError("cannot evaluate at NaN")
@@ -112,7 +116,7 @@ def ordered_weight_density(n: int, k: int, x: float) -> float:
 
 def ordered_weight_cdf(n: int, k: int, x: float) -> float:
     """CDF of the k-th largest of n weights, in closed form, correctly rounded."""
-    _check_density_args(n, k)
+    n = _check_density_args(n, k)
     x = float(x)
     if math.isnan(x):
         raise InvalidArgumentsError("cannot evaluate at NaN")
@@ -148,13 +152,12 @@ def _validate_exponents(m) -> tuple[int, ...]:
 
 def product_moment_exact(n: int, m) -> Fraction:
     """Exact E(prod_j W_j^{m_j}) = prod m_j! / (n)_{|m|} as a Fraction."""
+    n = as_player_count(n)
     exps = _validate_exponents(m)
     if len(exps) != n:
         raise InvalidArgumentsError(
             f"exponent vector has length {len(exps)}, expected n={n}"
         )
-    if n < 1:
-        raise InvalidArgumentsError("player count must be at least 1")
     total = sum(exps)
     numerator = math.prod(math.factorial(v) for v in exps)
     return Fraction(numerator, _rising_factorial(n, total))
@@ -174,10 +177,7 @@ def _rising_factorial(base: int, length: int) -> int:
 
 def power_sum_moment_exact(n: int, m: int) -> Fraction:
     """Exact E(sum_j W_j^m) = m! / (n+1)_{m-1}."""
-    if n < 1:
-        raise InvalidArgumentsError("player count must be at least 1")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidArgumentsError("moment order m must be a positive integer")
+    n, m = as_player_count(n), as_count(m, "moment order m")
     return Fraction(math.factorial(m), _rising_factorial(n + 1, m - 1))
 
 
@@ -193,8 +193,7 @@ def sum_sq_stats(n: int) -> tuple[float, float]:
     mean = 2 / (n+1), variance = 4 (n-1) / ((n+1)^2 (n+2) (n+3)).
     For n = 1 the sum is identically 1.
     """
-    if n < 1:
-        raise InvalidArgumentsError("player count must be at least 1")
+    n = as_player_count(n)
     mean = Fraction(2, n + 1)
     var = Fraction(4 * (n - 1), (n + 1) ** 2 * (n + 2) * (n + 3))
     return float(mean), float(var)

@@ -273,6 +273,13 @@ class TestExpectedColeman:
         with pytest.raises(AccuracyUnsupportedError):
             expected_coleman(1001, 0.75)
 
+    @pytest.mark.parametrize("n", [34, 100, 1000])
+    def test_numpy_integer_player_count_gives_the_same_bits(self, n):
+        # The mixture weights are exact integer ratios: an int64 n must not
+        # overflow them.
+        for q in (0.6, 0.9):
+            assert expected_coleman(np.int64(n), q).hex() == expected_coleman(n, q).hex()
+
     def test_decreasing_in_quota(self):
         values = [expected_coleman(6, q) for q in np.linspace(0.51, 0.99, 25)]
         assert all(b < a for a, b in zip(values, values[1:]))

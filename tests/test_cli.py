@@ -61,6 +61,27 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample-weights"],
+            ["weight-density", "--k", "1"],
+            ["moments", "--sum-sq"],
+            ["power-curve", "--samples", "8"],
+            ["coleman-curve", "--method", "inversion"],
+            ["coleman-curve", "--method", "normal"],
+            ["coleman-curve", "--method", "mc", "--samples", "8"],
+            ["coleman-curve", "--method", "hoeffding-bound", "--samples", "8"],
+            ["classes", "--budget", "8"],
+            ["analytic", "--what", "cf"],
+        ],
+        ids=lambda argv: "-".join(argv[:3]),
+    )
+    def test_zero_players_is_a_dimension_error(self, capsys, argv):
+        code, out, err = run_cli([*argv, "--n", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: InvalidDimensionError: player count")
+
     @pytest.mark.parametrize("points", ["0", "-2"])
     def test_density_without_points(self, tmp_path, capsys, points):
         svg = tmp_path / "d.svg"
@@ -388,8 +409,13 @@ class TestImport:
              ["games", "experiments", "analytic"]),
             (["indices", "--weights", "0.5,0.3,0.2", "--quota", "0.55"],
              ["experiments", "analytic", "weightdist"]),
+            (["coleman-curve", "--n", "12", "--method", "inversion"], ["experiments", "games"]),
+            (["coleman-curve", "--n", "6", "--method", "inversion", "--quota", "1.0"],
+             ["experiments", "games"]),
+            (["analytic", "--what", "beta-n3"], ["experiments", "games"]),
         ],
-        ids=["expected-weights", "moments", "indices"],
+        ids=["expected-weights", "moments", "indices", "coleman-inversion",
+             "coleman-single-quota", "beta-n3"],
     )
     def test_subcommand_imports_only_what_it_uses(self, argv, absent):
         proc = fresh_interpreter(
@@ -421,7 +447,7 @@ class TestImport:
 PUBLIC_NAMES = """
 AccuracyUnsupportedError BudgetExceededError ClassTable ConvergenceFailureError
 DegenerateDistributionError Extremum GameClass GameClassCatalog GameClassInfo
-InvalidArgumentsError InvalidDimensionError InvalidRankError OrderedWeights
+InvalidArgumentsError InvalidDimensionError InvalidRankError
 PiecewisePolynomialCurve PowerProfile QuotaCurve RandomSeed SplineFit StepCurve
 VotePowerError VotingGame analytic as_weight_vector banzhaf class_table_n3
 coalition_weight_cf coleman_error_ratio count_extrema count_winning_mitm
@@ -431,7 +457,7 @@ expected_coleman expected_coleman_normal expected_ordered_weight
 expected_ordered_weight_exact expected_ordered_weights experiments extrema_n3
 fit_spline fixed_weight_quota_curve games hoeffding_bound is_winning
 mc_coleman_curve mc_hoeffding_curve mc_power_curve optimal_quota_diagnostic
-order_descending ordered_weight_breakpoints ordered_weight_cdf
+ordered_weight_breakpoints ordered_weight_cdf
 ordered_weight_density ordered_weight_support power_sum_moment product_moment
 product_moment_exact renyi_partial_sums sample_uniform_simplex
 sample_uniform_simplex_batch simplex sum_sq_stats weightdist

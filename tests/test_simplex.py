@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import votepower
 from votepower import (
     InvalidArgumentsError,
     InvalidDimensionError,
+    InvalidRankError,
     RandomSeed,
     as_weight_vector,
-    order_descending,
     renyi_partial_sums,
     sample_uniform_simplex,
     sample_uniform_simplex_batch,
 )
+from votepower.simplex import as_player_count, as_quota_grid
 
 SUM_TOL = 1e-12
 
@@ -89,30 +91,6 @@ class TestSampling:
             RandomSeed(0, 0).substream(1 << 32)
 
 
-class TestOrdering:
-    def test_spec_permutation(self):
-        ow = order_descending([0.2, 0.5, 0.3])
-        assert ow.weights.tolist() == [0.5, 0.3, 0.2]
-        assert ow.permutation.tolist() == [1, 2, 0]
-
-    def test_sorted_input_identity(self):
-        ow = order_descending([0.5, 0.3, 0.2])
-        assert ow.permutation.tolist() == [0, 1, 2]
-
-    def test_tie_keeps_original_order(self):
-        ow = order_descending([0.25, 0.25, 0.5])
-        assert ow.weights.tolist() == [0.5, 0.25, 0.25]
-        assert ow.permutation.tolist() == [2, 0, 1]
-
-    @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_restore_is_bit_exact(self, n, seed):
-        w = sample_uniform_simplex(n, RandomSeed(seed))
-        ow = order_descending(w)
-        assert np.all(np.diff(ow.weights) <= 0)
-        assert np.array_equal(ow.restore(), w)
-
-
 class TestRenyiPartialSums:
     def test_single(self):
         assert renyi_partial_sums([1.0]).tolist() == [1.0]
@@ -138,3 +116,101 @@ class TestRenyiPartialSums:
         ordered = np.sort(a, axis=1)[:, ::-1][:, 0]
         partial = np.array([renyi_partial_sums(row)[0] for row in b])
         assert ks_2samp(ordered, partial).pvalue > 0.01
+
+
+# Every public entry point that takes a player count, called with that count.
+PLAYER_COUNT_CALLS = {
+    "sample_uniform_simplex": lambda n: votepower.sample_uniform_simplex(n, 0),
+    "sample_uniform_simplex_batch": lambda n: votepower.sample_uniform_simplex_batch(n, 4, 0),
+    "expected_ordered_weight": lambda n: votepower.expected_ordered_weight(n, 1),
+    "expected_ordered_weight_exact": lambda n: votepower.expected_ordered_weight_exact(n, 1),
+    "expected_ordered_weights": lambda n: votepower.expected_ordered_weights(n),
+    "ordered_weight_support": lambda n: votepower.ordered_weight_support(n, 1),
+    "ordered_weight_breakpoints": lambda n: votepower.ordered_weight_breakpoints(n, 1),
+    "ordered_weight_density": lambda n: votepower.ordered_weight_density(n, 1, 0.5),
+    "ordered_weight_cdf": lambda n: votepower.ordered_weight_cdf(n, 1, 0.5),
+    "product_moment": lambda n: votepower.product_moment(n, [1, 0, 0]),
+    "product_moment_exact": lambda n: votepower.product_moment_exact(n, [1, 0, 0]),
+    "power_sum_moment": lambda n: votepower.power_sum_moment(n, 2),
+    "sum_sq_stats": lambda n: votepower.sum_sq_stats(n),
+    "coalition_weight_cf": lambda n: votepower.coalition_weight_cf(n, 1.0),
+    "expected_coleman": lambda n: votepower.expected_coleman(n, 0.6),
+    "expected_coleman_normal": lambda n: votepower.expected_coleman_normal(n, 0.6),
+    "coleman_error_ratio": lambda n: votepower.coleman_error_ratio(n, 0.25),
+    "mc_power_curve": lambda n: votepower.mc_power_curve(n, [0.6], samples=8),
+    "mc_coleman_curve": lambda n: votepower.mc_coleman_curve(n, [0.6], samples=8),
+    "mc_hoeffding_curve": lambda n: votepower.mc_hoeffding_curve(n, [0.6], samples=8),
+    "discover_classes": lambda n: votepower.discover_classes(n, budget=8),
+}
+
+# Every public entry point that takes a quota in (1/2, 1], called with it.
+QUOTA_CALLS = {
+    "expected_coleman": lambda q: votepower.expected_coleman(3, q),
+    "expected_beta_n2": lambda q: votepower.expected_beta_n2(q),
+    "expected_beta_n3": lambda q: votepower.expected_beta_n3(q),
+    "class_probabilities": lambda q: votepower.class_table_n3().probabilities(q),
+    "VotingGame": lambda q: votepower.VotingGame([0.5, 0.3, 0.2], q),
+    "StepCurve.value_at": lambda q: votepower.fixed_weight_quota_curve(
+        [0.5, 0.3, 0.2]).value_at(q),
+    "mc_coleman_curve": lambda q: votepower.mc_coleman_curve(3, [q], samples=8),
+    "mc_hoeffding_curve": lambda q: votepower.mc_hoeffding_curve(3, [q], samples=8),
+    "mc_power_curve": lambda q: votepower.mc_power_curve(3, [q], samples=8),
+}
+
+# Every other count a public entry point takes, called with that count.
+COUNT_CALLS = {
+    "size": lambda c: votepower.sample_uniform_simplex_batch(3, c, 0),
+    "samples": lambda c: votepower.mc_coleman_curve(3, [0.6], samples=c),
+    "hoeffding-samples": lambda c: votepower.mc_hoeffding_curve(3, [0.6], samples=c),
+    "workers": lambda c: votepower.mc_coleman_curve(3, [0.6, 0.8], samples=8192, workers=c),
+    "power-workers": lambda c: votepower.mc_power_curve(3, [0.6], samples=8, workers=c),
+    "budget": lambda c: votepower.discover_classes(3, budget=c),
+}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("call", PLAYER_COUNT_CALLS.values(), ids=PLAYER_COUNT_CALLS)
+    def test_player_count_edges(self, call):
+        for n in (0, -1, 2.5, True):
+            with pytest.raises(InvalidDimensionError):
+                call(n)
+        call(3)
+        call(np.int64(3))
+
+    @pytest.mark.parametrize("call", QUOTA_CALLS.values(), ids=QUOTA_CALLS)
+    def test_quota_edges(self, call):
+        for q in (0.5, math.nan, math.nextafter(1.0, 2.0)):
+            with pytest.raises(InvalidArgumentsError):
+                call(q)
+        call(1.0)
+
+    @pytest.mark.parametrize("call", COUNT_CALLS.values(), ids=COUNT_CALLS)
+    def test_other_count_edges(self, call):
+        for count in (0, 2.5, True):
+            with pytest.raises(InvalidArgumentsError):
+                call(count)
+        call(np.int64(2))
+
+    @pytest.mark.parametrize(
+        "call",
+        [votepower.expected_ordered_weight, votepower.ordered_weight_support,
+         lambda n, k: votepower.ordered_weight_density(n, k, 0.2)],
+        ids=["expected_ordered_weight", "ordered_weight_support", "ordered_weight_density"],
+    )
+    def test_rank_edges(self, call):
+        for k in (0, 4, 1.5, True):
+            with pytest.raises(InvalidRankError):
+                call(3, k)
+        call(3, np.int64(2))
+
+    def test_player_count_error_is_an_argument_error(self):
+        assert issubclass(InvalidDimensionError, InvalidArgumentsError)
+        assert type(as_player_count(np.int64(40))) is int
+
+    @pytest.mark.parametrize(
+        "grid", [[], [0.6, 0.6], [0.8, 0.6], [0.5, 0.6], [0.6, math.nan],
+                 [0.6, math.nextafter(1.0, 2.0)]]
+    )
+    def test_quota_grid_edges(self, grid):
+        with pytest.raises(InvalidArgumentsError):
+            as_quota_grid(grid)
