@@ -39,7 +39,7 @@ from .errors import (
     ConvergenceFailureError,
     InvalidArgumentsError,
 )
-from .simplex import as_player_count, as_quota
+from .simplex import as_count, as_player_count, as_quota
 
 # --------------------------------------------------------------------------
 # small exact-polynomial helpers (coefficients ascending, Fraction-valued)
@@ -140,7 +140,7 @@ class ClassTable:
 
     def expected_beta_curve(self, rank: int) -> PiecewisePolynomialCurve:
         """E[beta_rank](q) as an exact piecewise polynomial."""
-        if not 1 <= rank <= self.n:
+        if as_count(rank, "rank") > self.n:
             raise InvalidArgumentsError(f"rank must lie in 1..{self.n}")
         return self._expected_beta_curves[rank - 1]
 

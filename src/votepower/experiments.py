@@ -10,15 +10,14 @@ only on (seed, stream, i), so shorter runs are prefixes of longer ones.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic, games
+from . import games
 from .errors import BudgetExceededError, InvalidArgumentsError
 from .simplex import (
     _simplex_rows,
@@ -120,7 +119,7 @@ class _Accumulator:
         return mean, stderr
 
 
-def _power_values(weights, grid, statistic):
+def _power_values(weights, grid, statistic, scratch=None):
     """Per-sample index values over the grid, one array per accumulation
     block of ``_SUM_CELL_BUDGET >> n`` samples: (grid, n, block) profiles,
     largest first, or (grid, block) for coleman.
@@ -133,21 +132,28 @@ def _power_values(weights, grid, statistic):
     tile with any profile out of order is sorted.  Sorting the values gives
     the bits that sorting the swings would, since each profile is divided
     by one positive constant.
+
+    With a ``scratch`` (see ``games._scratch_array``) the tile table, the
+    value blocks and the counting arrays are its arrays, reused call after
+    call; a block is then overwritten by the next, so it must be consumed
+    first.
     """
     n = weights.shape[1]
     members = statistic != "coleman"
     per_column = (1 << n) + (grid.size + 1) * (n if members else 1)
     block = max(1, _SUM_CELL_BUDGET >> n)
     width = min(block, len(weights), max(1, _TILE_CELL_BUDGET // per_column))
-    table = np.empty(width << n)   # each tile's sums, then its bin keys
+    # each tile's sums, then its bin keys
+    table = games._scratch_array(scratch, "table", width << n)
     rows = (grid.size, n) if members else (grid.size,)
     for first in range(0, len(weights), block):
         samples = weights[first:first + block]
-        values = np.empty(rows + (len(samples),))
+        shape = rows + (len(samples),)
+        values = games._scratch_array(scratch, "values", math.prod(shape)).reshape(shape)
         for start in range(0, len(samples), width):
             tile = samples[start:start + width]
             sums = games._full_sums(tile.T, out=table[:len(tile) << n])
-            omega, member = games._winning_counts(sums, grid, members)
+            omega, member = games._winning_counts(sums, grid, members, scratch)
             out = values[..., start:start + len(tile)]
             games._index_values(n, statistic, omega, member, out=out)
             if members and not (out[:, :-1] >= out[:, 1:]).all():
@@ -172,39 +178,57 @@ def _check_kernel_budget(n: int) -> None:
         )
 
 
-def _hoeffding_values(weights, grid):
+def _hoeffding_values(weights, grid, scratch=None):
+    """The (grid, samples) Hoeffding bounds of a chunk, in one block, which
+    is an array of ``scratch`` if one is given."""
     ssq = (weights * weights).sum(axis=1)
-    yield np.exp(-2.0 * (grid[:, None] - 0.5) ** 2 / ssq[None, :])
+    values = games._scratch_array(scratch, "values", grid.size * len(weights))
+    values = values.reshape(grid.size, len(weights))
+    np.divide(-2.0 * (grid[:, None] - 0.5) ** 2, ssq[None, :], out=values)
+    yield np.exp(values, out=values)
 
 
 def _run_chunks(worker, samples: int, workers: int):
     """Evaluate ``worker(index, count)`` on each ``MC_CHUNK``-sample chunk
     and reduce the partials with their ``merge`` method in chunk order,
-    each as it arrives."""
+    each as it arrives.  One worker runs the chunks in the calling thread;
+    more share a thread pool."""
     counts = [min(MC_CHUNK, samples - start) for start in range(0, samples, MC_CHUNK)]
-    # The pool starts no thread until work is submitted.
+    if workers <= 1:
+        return _reduce(map(worker, range(len(counts)), counts))
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = (map if workers <= 1 else pool.map)(worker, range(len(counts)), counts)
-        combined = next(partials)
-        for part in partials:
-            combined.merge(part)
+        return _reduce(pool.map(worker, range(len(counts)), counts))
+
+
+def _reduce(partials):
+    """Merge each partial into the first, in order."""
+    combined = next(partials)
+    for part in partials:
+        combined.merge(part)
     return combined
 
 
 def _mc_curves(n, quotas, samples, seed, workers, values, names, method="mc"):
     """The Monte Carlo run shared by the ``mc_*`` estimators.
 
-    ``values(weights, grid)`` maps a chunk of descending-sorted weight
-    vectors, one row per sample, to blocks of values with the samples on
-    the last axis; the axes after the grid give one curve per name.  The
-    callers have checked n, samples and workers with ``_mc_counts``.
+    ``values(weights, grid, scratch=scratch)`` maps a chunk of
+    descending-sorted weight vectors, one row per sample, to blocks of
+    values with the samples on the last axis; the axes after the grid give
+    one curve per name.  ``scratch`` is a ``threading.local``, so each
+    worker thread holds its own working arrays from chunk to chunk, and
+    they are freed when the call returns.  The callers have checked n,
+    samples and workers with ``_mc_counts``.
     """
     grid = as_quota_grid(default_quota_grid() if quotas is None else quotas)
     base = as_seed(seed)
+    scratch = threading.local()
 
     def worker(index, count):
         acc = None
-        for block in values(_sorted_weight_chunk(n, base, index, count), grid):
+        weights = _sorted_weight_chunk(n, base, index, count)
+        for block in values(weights, grid, scratch=scratch):
             if acc is None:
                 acc = _Accumulator(block.shape[:-1])
             acc.add(block, axis=-1)
@@ -285,7 +309,8 @@ def mc_hoeffding_curve(
 # discover_classes(7, 300000, seed=11) finds 11993 families, and a linear
 # program realizes every one of them as a weighted game whose winning and
 # losing coalition weights are at least 0.0137 apart, so they are not float
-# ties.  No verified count is at hand to replace it.
+# ties; discover_classes(7, 10**6, seed=11), at the default budget, finds
+# 14084.  No verified count is at hand to replace it.
 CLASS_COUNT_CEILINGS = {2: 2, 3: 5, 4: 14, 5: 62, 6: 566, 7: 11971}
 
 
@@ -316,33 +341,64 @@ class GameClassCatalog:
         return {c.beta for c in self.classes}
 
 
+def _run_starts(keys):
+    """Where each run of equal rows of a sorted key array starts."""
+    return np.flatnonzero(np.append(True, (keys[1:] != keys[:-1]).any(axis=1)))
+
+
 def _family_runs(win):
-    """(key, games) for each distinct column of a (2^n, games) win table.
+    """(keys, hits) for the distinct columns of a (2^n, games) win table:
+    one row of uint64 words per column, sorted, and the games that have it.
 
     A key is the column packed like ``np.packbits``: coalition m is bit
-    7 - m % 8 of byte m >> 3.  Bytes are filled from the table's contiguous
-    rows, zero-padded to whole uint64 words, and the games are grouped by
-    one sort of the words and the boundaries of its runs.
+    7 - m % 8 of byte m >> 3, and the bytes are zero-padded to whole
+    little-endian uint64 words, so a key's bytes are the packed column
+    followed by zeros.  Each byte is the OR of its 8 table rows shifted
+    into place, all bytes at once.
     """
     masks, count = win.shape
     size = -(-masks // 8)
+    bits = np.zeros((size * 8, count), dtype=np.uint8)
+    bits[:masks] = win
+    bits = bits.reshape(size, 8, count)
+    bits <<= np.arange(7, -1, -1, dtype=np.uint8)[:, None]
     packed = np.zeros((-(-size // 8) * 8, count), dtype=np.uint8)
-    bit = np.empty(count, dtype=np.uint8)
-    for m, row in enumerate(win):
-        np.left_shift(row.view(np.uint8), 7 - m % 8, out=bit)
-        packed[m >> 3] |= bit
-    words = np.ascontiguousarray(packed.T).view("<u8")
-    words = words[np.lexsort(words.T)]
-    starts = np.flatnonzero(np.append(True, (words[1:] != words[:-1]).any(axis=1)))
-    hits = np.diff(np.append(starts, count))
-    for key, h in zip(words[starts], hits.tolist()):
-        yield key.tobytes()[:size], h
+    np.bitwise_or.reduce(bits, axis=1, out=packed[:size])
+    keys = np.ascontiguousarray(packed.T).view("<u8")
+    # One-word keys (n <= 6) sort as plain integers, far faster than lexsort.
+    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[np.lexsort(keys.T)]
+    starts = _run_starts(keys)
+    return keys[starts], np.diff(starts, append=count)
 
 
-class _FamilyHits(collections.Counter):
-    """Games per winning-family key; chunks merge by adding their hits."""
+class _FamilyHits:
+    """Games per winning family: keys and hits as ``_family_runs`` gives
+    them.  Merged chunks wait until they hold as many keys as the merged
+    set, which bounds the waiting memory, and then join it in one sort, so
+    a large set is not sorted again for every chunk."""
 
-    merge = collections.Counter.update
+    def __init__(self, runs):
+        self.keys, self.hits = runs
+        self.waiting = []
+        self.waiting_keys = 0
+
+    def merge(self, other):
+        self.waiting.append(other)
+        self.waiting_keys += other.hits.size
+        if self.waiting_keys >= self.hits.size:
+            self.settle()
+
+    def settle(self):
+        """Join the waiting chunks to the merged set; returns self."""
+        parts = [self] + self.waiting
+        keys = np.concatenate([p.keys for p in parts])
+        order = np.lexsort(keys.T)
+        keys = keys[order]
+        starts = _run_starts(keys)
+        hits = np.concatenate([p.hits for p in parts])[order]
+        self.keys, self.hits = keys[starts], np.add.reduceat(hits, starts)
+        self.waiting, self.waiting_keys = [], 0
+        return self
 
 
 def discover_classes(n: int, budget: int = 10 ** 6, seed=0) -> GameClassCatalog:
@@ -358,8 +414,9 @@ def discover_classes(n: int, budget: int = 10 ** 6, seed=0) -> GameClassCatalog:
     Discovery is best effort: a class whose region has small volume may
     need a large budget to appear, so the budget is recorded alongside the
     result.  The n = 7 entry of ``CLASS_COUNT_CEILINGS`` is in doubt: a
-    large budget finds more families than its 11971 (11993 at budget
-    300000, seed 11), each one a strictly weighted game.
+    large budget finds more families than its 11971 (at seed 11, 11993 at
+    budget 300000 and 14084 at the default 10^6), each one a strictly
+    weighted game.
     """
     n, budget = as_player_count(n), as_count(budget, "budget")
     if not (2 <= n <= 7):
@@ -369,15 +426,22 @@ def discover_classes(n: int, budget: int = 10 ** 6, seed=0) -> GameClassCatalog:
     def worker(index, count):
         # A chunk's 2^n x 4096 table is at most 2^19 cells for n <= 7.
         weights, quotas = _chunk_games(n, base, index, count)
-        return _FamilyHits(dict(_family_runs(games._full_sums(weights.T) >= quotas)))
+        return _FamilyHits(_family_runs(games._full_sums(weights.T) >= quotas))
 
-    classes = []
-    for raw, hits in _run_chunks(worker, budget, 1).items():
-        wins = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[: 1 << n]
-        masks = np.flatnonzero(wins)
-        member = np.array(games._member_sums(wins), dtype=np.int64)
-        beta = games._profile_from_counts(n, masks.size, member).beta
-        classes.append(GameClass(tuple(masks.tolist()), tuple(beta.tolist()), hits))
+    found = _run_chunks(worker, budget, 1).settle()
+    families = found.hits.size
+    wins = np.unpackbits(found.keys.view(np.uint8), axis=1)[:, : 1 << n]
+    # Each family's winning coalitions, and those holding each player.
+    omega = wins.sum(axis=1, dtype=np.int64)
+    member = np.stack([
+        wins.reshape(families, -1, 2, 1 << i)[:, :, 1].sum(axis=(1, 2), dtype=np.int64)
+        for i in range(n)
+    ])
+    beta = games._index_values(n, "beta", omega[None], member[None])[0].T
+    classes = [
+        GameClass(tuple(np.flatnonzero(w).tolist()), tuple(b), h)
+        for w, b, h in zip(wins, beta.tolist(), found.hits.tolist())
+    ]
     classes.sort(key=lambda c: (-c.hits, c.winning_masks))
     return GameClassCatalog(n=n, budget=budget, classes=tuple(classes))
 
@@ -397,10 +461,12 @@ def count_extrema(curve, smoothing_window: int = 5):
     a derivative sign change.  Sampled curves are smoothed with a moving
     average first (Monte Carlo noise would otherwise create spurious
     extrema), then strict sign changes of the first difference are
-    counted; this path is exploratory, not exact.  The window may not be
-    wider than the curve has points.
+    counted; this path is exploratory, not exact.  The window, an integer
+    of at least 1, may not be wider than the curve has points.
     """
-    if isinstance(curve, analytic.PiecewisePolynomialCurve):
+    from .analytic import PiecewisePolynomialCurve
+
+    if isinstance(curve, PiecewisePolynomialCurve):
         points = curve.stationary_points()
         return len(points), [float(p) for p, _ in points]
     if isinstance(curve, QuotaCurve):
@@ -411,7 +477,7 @@ def count_extrema(curve, smoothing_window: int = 5):
     if values.size < 10:
         raise InvalidArgumentsError("need at least 10 grid points")
     _check_finite(quotas, values)
-    window = max(1, int(smoothing_window))
+    window = as_count(smoothing_window, "smoothing window")
     if window > values.size:
         raise InvalidArgumentsError(
             f"smoothing window {window} is wider than the {values.size} grid points"
@@ -521,8 +587,8 @@ def fit_spline(
     _check_finite(q, v)
     if np.any(np.diff(q) <= 0):
         raise InvalidArgumentsError("sample grid must be strictly increasing")
-    if max_degree < 0:
-        raise InvalidArgumentsError("max_degree must be >= 0")
+    max_degree = as_count(max_degree, "max_degree", minimum=0)
+    max_breakpoints = as_count(max_breakpoints, "max_breakpoints", minimum=0)
     min_pts = max_degree + 2
     if q.size < min_pts:
         raise InvalidArgumentsError(

@@ -395,15 +395,33 @@ class StepCurve:
         return self.values[piece]
 
 
-def _level_table(levels: np.ndarray):
+def _scratch_array(scratch, name: str, size: int, dtype=np.float64) -> np.ndarray:
+    """The first ``size`` entries of the array ``name`` that ``scratch``
+    holds, grown when too small, so that repeated calls reuse one array.
+    ``scratch`` is any object that takes attributes, such as a
+    ``threading.local``; None gives a fresh array."""
+    if scratch is None:
+        return np.empty(size, dtype)
+    held = getattr(scratch, name, None)
+    if held is None or held.size < size:
+        held = np.empty(size, dtype)
+        setattr(scratch, name, held)
+    return held[:size]
+
+
+def _level_table(levels: np.ndarray, scratch=None):
     """The lookup ``_bin_keys`` makes for a strictly increasing grid.
 
     Cells have width 2^-k, the smallest k with 2^-k below the grid's
     minimum gap, at most 16, and cover [0, max(levels[-1], 1)].  Returns
     the scale 2^k, the count of levels at or below each cell's left edge,
     the levels followed by +inf, and the most levels lying strictly inside
-    one cell.
+    one cell.  ``scratch`` keeps the lookup for the next call on the same
+    ``levels`` object.
     """
+    held = getattr(scratch, "level_table", None)
+    if held is not None and held[0] is levels:
+        return held[1]
     gap = np.diff(levels).min() if levels.size > 1 else np.inf
     k = 0
     while k < _BIN_CELL_BITS and 2.0 ** -k >= gap:
@@ -415,14 +433,19 @@ def _level_table(levels: np.ndarray):
     below = np.searchsorted(levels, edges, side="left")
     steps = int((below[1:] - at_or_below[:-1]).max())
     level_after = np.append(levels, np.inf)
-    return scale, at_or_below[:-1].astype(np.int64), level_after, steps
+    lookup = scale, at_or_below[:-1].astype(np.int64), level_after, steps
+    if scratch is not None:
+        scratch.level_table = levels, lookup
+    return lookup
 
 
-def _bin_keys(sums: np.ndarray, levels: np.ndarray, out: np.ndarray | None = None):
+def _bin_keys(sums: np.ndarray, levels: np.ndarray, out: np.ndarray | None = None,
+              scratch=None):
     """bin * cols + column for every entry of a (rows, cols) table of sums
     >= 0, where bin = searchsorted(levels, sum, side="right"), found exactly
     by table lookup.  A contiguous ``out``, which may be the table itself
-    viewed as int64, receives the keys.
+    viewed as int64, receives the keys.  The block arrays come from
+    ``scratch`` (see ``_scratch_array``) when one is given.
 
     s * 2^k is exact, so its integer part is the cell holding s, and the
     table gives the levels at or below that cell's left edge.  Each step
@@ -433,15 +456,16 @@ def _bin_keys(sums: np.ndarray, levels: np.ndarray, out: np.ndarray | None = Non
     sums are read.
     """
     rows, cols = sums.shape
-    scale, table, level_after, steps = _level_table(levels)
+    scale, table, level_after, steps = _level_table(levels, scratch)
     flat = sums.reshape(-1)
     keys = np.empty(flat.size, dtype=np.int64) if out is None else out.reshape(-1)
     block = max(cols, min(_BIN_BLOCK // cols * cols, flat.size))  # whole rows
-    cell = np.empty(block, dtype=np.int64)
-    bins = np.empty(block, dtype=np.int64)
-    bound = np.empty(block)
-    above = np.empty(block, dtype=bool)
-    column = np.tile(np.arange(cols), block // cols)
+    cell = _scratch_array(scratch, "cell", block, np.int64)
+    bins = _scratch_array(scratch, "bins", block, np.int64)
+    bound = _scratch_array(scratch, "bound", block)
+    above = _scratch_array(scratch, "above", block, bool)
+    column = _scratch_array(scratch, "column", block, np.int64)
+    column.reshape(-1, cols)[:] = np.arange(cols)
     for start in range(0, flat.size, block):
         s = flat[start:start + block]
         m = len(s)
@@ -449,7 +473,9 @@ def _bin_keys(sums: np.ndarray, levels: np.ndarray, out: np.ndarray | None = Non
         np.multiply(s, scale, out=cell[:m], casting="unsafe")
         np.take(table, cell[:m], out=b, mode="clip")
         for _ in range(steps):
-            np.take(level_after, b, out=bound[:m])
+            # b <= levels.size, so "clip" clips nothing; it only spares the
+            # copy of ``out`` that the default "raise" makes.
+            np.take(level_after, b, out=bound[:m], mode="clip")
             np.greater_equal(s, bound[:m], out=above[:m])
             b += above[:m]
         k = keys[start:start + m]
@@ -458,7 +484,8 @@ def _bin_keys(sums: np.ndarray, levels: np.ndarray, out: np.ndarray | None = Non
     return keys.reshape(rows, cols)
 
 
-def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True):
+def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True,
+                    scratch=None):
     """Winning-coalition counts at every level of a strictly increasing grid,
     for each game (column) of a ``_full_sums`` table.
 
@@ -468,14 +495,16 @@ def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True):
     game (and per player over that player's masks) and suffix sums over the
     bins give every count at once.  Returns int64 ``omega`` of shape
     (levels, *games) and, if ``members``, ``member`` of shape
-    (levels, n, *games).  The table is overwritten by its bin keys.
+    (levels, n, *games).  The table is overwritten by its bin keys.  A
+    ``scratch`` (see ``_scratch_array``) lends the working arrays, and the
+    member counts are then a view of its array.
     """
     rows, columns = sums.shape[0], sums.shape[1:]
     n = rows.bit_length() - 1
     cols = math.prod(columns)
     # key = bin * cols + column: one bincount covers every game's bins
     table = sums.reshape(rows, cols)
-    keys = _bin_keys(table, levels, out=table.view(np.int64))
+    keys = _bin_keys(table, levels, out=table.view(np.int64), scratch=scratch)
     bins = levels.size + 1
 
     def histogram(selected):
@@ -495,8 +524,9 @@ def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True):
     omega = wins_above(histogram(keys)).reshape((levels.size,) + columns)
     if not members:
         return omega, None
-    hist = np.empty((bins, n, cols), dtype=np.int64)
-    member_keys = np.empty(rows // 2 * cols, dtype=np.int64)  # one player's masks
+    hist = _scratch_array(scratch, "hist", bins * n * cols, np.int64).reshape(bins, n, cols)
+    # one player's masks
+    member_keys = _scratch_array(scratch, "member_keys", rows // 2 * cols, np.int64)
     for i in range(n):
         selected = keys.reshape(-1, 2, cols << i)[:, 1]
         np.copyto(member_keys.reshape(selected.shape), selected)
@@ -518,7 +548,10 @@ def fixed_weight_quota_curve(weights, statistic: str = "beta") -> StepCurve:
     if n > CURVE_BUDGET:
         raise BudgetExceededError(f"quota curves support n <= {CURVE_BUDGET}")
     sums = _full_sums(w)
-    breakpoints = np.unique(sums[(sums > 0.5) & (sums <= 1.0)])
+    # np.unique's result, from a sort and the first entry of each run:
+    # np.unique imports numpy.ma on numpy 2.
+    breakpoints = np.sort(sums[(sums > 0.5) & (sums <= 1.0)])
+    breakpoints = breakpoints[np.append(True, breakpoints[1:] != breakpoints[:-1])]
     omega, member = _winning_counts(sums, breakpoints, members=statistic != "coleman")
     values = _index_values(n, statistic, omega, member)
     values.setflags(write=False)

@@ -49,7 +49,8 @@ class RandomSeed:
     def __post_init__(self):
         for name in ("seed", "stream"):
             value = getattr(self, name)
-            if not isinstance(value, int) or not (0 <= value <= _MASK64):
+            integer = isinstance(value, int) and not isinstance(value, bool)
+            if not (integer and 0 <= value <= _MASK64):
                 raise InvalidArgumentsError(
                     f"{name} must be an integer in [0, 2**64)"
                 )
@@ -73,18 +74,18 @@ def as_seed(seed) -> RandomSeed:
     """Coerce an int or RandomSeed into a RandomSeed."""
     if isinstance(seed, RandomSeed):
         return seed
-    if isinstance(seed, (int, np.integer)):
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
         return RandomSeed(int(seed))
     raise InvalidArgumentsError(f"cannot interpret {seed!r} as a random seed")
 
 
-def as_count(value, what: str, *, error=InvalidArgumentsError) -> int:
+def as_count(value, what: str, *, minimum: int = 1, error=InvalidArgumentsError) -> int:
     """``value`` as a Python int, checked to be an integer (Python or numpy,
-    not a bool) of at least 1; ``what`` names it in the error."""
+    not a bool) of at least ``minimum``; ``what`` names it in the error."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise error(f"{what} must be at least 1")
+    if value < minimum:
+        raise error(f"{what} must be at least {minimum}")
     return int(value)
 
 

@@ -427,6 +427,46 @@ class TestImport:
         assert proc.stdout
         assert proc.stderr.strip() == "0 []"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["power-curve", "--n", "3", "--samples", "16"],
+         ["classes", "--n", "3", "--budget", "100"]],
+        ids=["power-curve", "classes"],
+    )
+    def test_one_worker_loads_no_pool_or_closed_forms(self, argv):
+        absent = ["votepower.analytic", "concurrent.futures"]
+        proc = fresh_interpreter(
+            "import sys; from votepower.cli import main; "
+            f"code = main({argv!r}); "
+            f"print(code, [m for m in {absent!r} if m in sys.modules], file=sys.stderr)"
+        )
+        assert proc.stdout
+        assert proc.stderr.strip() == "0 []"
+
+    def test_two_workers_still_run_in_a_pool(self):
+        argv = ["power-curve", "--n", "3", "--samples", "16"]
+        one = fresh_interpreter(f"from votepower.cli import main; main({argv!r})")
+        two = fresh_interpreter(
+            "import sys; from votepower.cli import main; "
+            f"code = main({argv + ['--workers', '2']!r}); "
+            "print(code, 'concurrent.futures' in sys.modules, file=sys.stderr)"
+        )
+        assert two.stdout == one.stdout
+        assert two.stderr.strip() == "0 True"
+
+    def test_fixed_curve_does_not_load_numpy_ma(self):
+        if "True" in fresh_interpreter(
+            "import sys, numpy; print('numpy.ma' in sys.modules)"
+        ).stdout:
+            pytest.skip("importing numpy alone loads numpy.ma here")
+        proc = fresh_interpreter(
+            "import sys; from votepower.cli import main; "
+            "code = main(['fixed-curve', '--weights', '0.5,0.3,0.2']); "
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)"
+        )
+        assert proc.stdout.startswith("quota,")
+        assert proc.stderr.strip() == "0 False"
+
     @pytest.mark.parametrize("parent, seen", [(None, "1"), ("2", "2")])
     def test_cli_defaults_openblas_threads_to_one(self, parent, seen):
         proc = fresh_interpreter(

@@ -1,8 +1,12 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,19 @@ class TestChunkReduction:
         trail = experiments._run_chunks(worker, 5 * MC_CHUNK + 7, workers)
         assert trail.chunks == [(i, MC_CHUNK) for i in range(5)] + [(5, 7)]
 
+    def test_workers_do_not_share_scratch(self):
+        # More workers than cores, switching threads often: workers that
+        # shared scratch arrays would overwrite each other's tables and values.
+        samples = 8 * MC_CHUNK + 3
+        serial = mc_power_curve(6, samples=samples, seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = mc_power_curve(6, samples=samples, seed=5, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _digest(threaded) == _digest(serial)
+
 
 class TestMonteCarloAtTies:
     """With one sample and that sample's own coalition sums as the grid,
@@ -263,9 +280,9 @@ def _spy_tile_widths(monkeypatch):
     widths = []
     count = games._winning_counts
 
-    def spy(sums, levels, members=True):
+    def spy(sums, levels, *args, **kwargs):
         widths.append(sums.shape[1])
-        return count(sums, levels, members)
+        return count(sums, levels, *args, **kwargs)
 
     monkeypatch.setattr(games, "_winning_counts", spy)
     return widths
@@ -334,6 +351,33 @@ class TestMonteCarloMemory:
         peak = _traced_peak(lambda: mc_coleman_curve(12, samples=8192, workers=2))
         assert peak <= 24 * 2 ** 20
 
+    def test_no_scratch_outlives_the_call(self):
+        # Each worker's scratch (megabytes of tables and value blocks) is
+        # freed when the estimator returns.  A fresh process, warmed up by
+        # one-sample calls that a cache kept between calls would outgrow,
+        # prints the traced memory each call leaves behind.
+        code = (
+            "import tracemalloc\n"
+            "from votepower.experiments import *\n"
+            "calls = [(mc_coleman_curve, 9), (mc_power_curve, 6), (mc_hoeffding_curve, 12)]\n"
+            "for workers in (1, 2):\n"
+            "    for estimate, n in calls:\n"
+            "        estimate(n, [0.6], samples=1, workers=workers)\n"
+            "tracemalloc.start()\n"
+            "for workers in (1, 2):\n"
+            "    for estimate, n in calls:\n"
+            "        before = tracemalloc.get_traced_memory()[0]\n"
+            "        estimate(n, samples=8192, workers=workers)\n"
+            "        print(tracemalloc.get_traced_memory()[0] - before)\n"
+        )
+        package_root = str(Path(experiments.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=package_root)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        left = [int(line) for line in proc.stdout.split()]
+        assert len(left) == 6 and max(left) <= 2 ** 20, left
+
 
 class TestRankOrder:
     @pytest.mark.parametrize("statistic", ["beta", "psi"])
@@ -373,6 +417,32 @@ def _rank_complete(family, n):
     return True
 
 
+# (count, sha256 of repr((masks, beta, hits)) of each class in catalog
+# order) at budget 3 * MC_CHUNK + 5, which ends inside a fourth chunk, and
+# seed 29, as computed while chunks still merged through a Counter of bytes.
+PINNED_CATALOGS = {
+    4: (14, "a8e3febd60df88e9c0a2edc2fea4ab79271c2f750b8ead2554aec75235d0d69c"),
+    6: (518, "88827da728452e45f0e51b1154b9c171d1d440e0928538321423431d42759a5e"),
+    7: (3114, "d59511dc13d9939a1ca9234dc1a603aa544429924d714e4654defe6881f1c272"),
+}
+
+
+def _run_pairs(runs, size):
+    """``_family_runs``' (keys, hits) arrays as (key bytes, hits) pairs, each
+    key cut to its ``size`` packed bytes."""
+    keys, hits = runs
+    return [(key.tobytes()[:size], int(h)) for key, h in zip(keys, hits)]
+
+
+def _packbits_family_arrays(win):
+    """``reference.packbits_family_runs`` as ``_family_runs``' arrays: keys
+    zero-padded to whole uint64 words, one row each, and their hits."""
+    pairs = reference.packbits_family_runs(win)
+    width = -(-len(pairs[0][0]) // 8) * 8
+    keys = np.frombuffer(b"".join(key.ljust(width, b"\0") for key, _ in pairs), dtype="<u8")
+    return keys.reshape(len(pairs), -1), np.array([h for _, h in pairs], dtype=np.int64)
+
+
 class TestDiscoverClasses:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_grouping_matches_packbits_oracle(self, n):
@@ -380,14 +450,15 @@ class TestDiscoverClasses:
         # Few distinct columns, so runs of several games each.
         columns = rng.random((1 << n, 9)) < 0.5
         win = columns[:, rng.integers(0, 9, 300)]
-        assert sorted(experiments._family_runs(win)) == sorted(
+        size = -(-(1 << n) // 8)
+        assert sorted(_run_pairs(experiments._family_runs(win), size)) == sorted(
             reference.packbits_family_runs(win)
         )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_catalog_matches_packbits_oracle(self, n, monkeypatch):
         catalog = discover_classes(n, budget=3000, seed=n)
-        monkeypatch.setattr(experiments, "_family_runs", reference.packbits_family_runs)
+        monkeypatch.setattr(experiments, "_family_runs", _packbits_family_arrays)
         assert discover_classes(n, budget=3000, seed=n) == catalog
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
@@ -416,6 +487,15 @@ class TestDiscoverClasses:
         # two distinct families share the symmetric vector
         symmetric = [c for c in catalog.classes if c.beta == (third, third, third)]
         assert len(symmetric) == 2
+
+    @pytest.mark.parametrize("n", sorted(PINNED_CATALOGS))
+    def test_pinned_catalogs(self, n):
+        catalog = discover_classes(n, budget=3 * MC_CHUNK + 5, seed=29)
+        count, digest = PINNED_CATALOGS[n]
+        h = hashlib.sha256()
+        for cls in catalog.classes:
+            h.update(repr((cls.winning_masks, cls.beta, cls.hits)).encode())
+        assert (catalog.count, h.hexdigest()) == (count, digest)
 
     def test_families_are_monotone(self):
         catalog = discover_classes(4, budget=50000, seed=3)

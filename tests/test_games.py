@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -521,6 +522,20 @@ class TestBinning:
         keys = games._bin_keys(sums, grid)
         bins = np.searchsorted(grid, sums, side="right")
         assert np.array_equal(keys, bins * sums.shape[1] + np.arange(sums.shape[1]))
+
+    def test_reused_scratch_gives_fresh_keys(self):
+        # Tables of changing width and grids that come back: the scratch
+        # grows, refills its column pattern and re-keys its level table.
+        scratch = types.SimpleNamespace()
+        grid, fine = default_quota_grid(), _n16_levels()
+        rng = np.random.default_rng(4)
+        for levels, players, cols in [(grid, 5, 7), (fine, 9, 3), (grid, 5, 11),
+                                      (grid, 12, 1), (fine, 6, 40)]:
+            weights = np.sort(rng.dirichlet(np.ones(players), cols), axis=1)
+            sums = games._full_sums(weights[:, ::-1].T)
+            assert np.array_equal(
+                games._bin_keys(sums, levels, scratch=scratch), games._bin_keys(sums, levels)
+            )
 
     @given(
         st.lists(

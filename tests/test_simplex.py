@@ -167,6 +167,20 @@ COUNT_CALLS = {
     "budget": lambda c: votepower.discover_classes(3, budget=c),
 }
 
+_SERIES = np.linspace(0.55, 1.0, 20), (np.linspace(0.55, 1.0, 20) - 0.7) ** 2
+
+# Every integer parameter outside n, q and the counts above, called with a
+# value; 1 is valid for each.
+INTEGER_CALLS = {
+    "RandomSeed.seed": lambda v: votepower.RandomSeed(v),
+    "RandomSeed.stream": lambda v: votepower.RandomSeed(0, v),
+    "seed": lambda v: votepower.sample_uniform_simplex(3, v),
+    "smoothing_window": lambda v: votepower.count_extrema(_SERIES, smoothing_window=v),
+    "max_degree": lambda v: votepower.fit_spline(*_SERIES, max_degree=v),
+    "max_breakpoints": lambda v: votepower.fit_spline(*_SERIES, 1, max_breakpoints=v),
+    "expected_beta_curve": lambda v: votepower.class_table_n3().expected_beta_curve(v),
+}
+
 
 class TestInputContract:
     @pytest.mark.parametrize("call", PLAYER_COUNT_CALLS.values(), ids=PLAYER_COUNT_CALLS)
@@ -190,6 +204,13 @@ class TestInputContract:
             with pytest.raises(InvalidArgumentsError):
                 call(count)
         call(np.int64(2))
+
+    @pytest.mark.parametrize("call", INTEGER_CALLS.values(), ids=INTEGER_CALLS)
+    def test_other_integer_edges(self, call):
+        for value in (True, 1.5, 2.7, -1):
+            with pytest.raises(InvalidArgumentsError):
+                call(value)
+        call(1)
 
     @pytest.mark.parametrize(
         "call",
