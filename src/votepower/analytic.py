@@ -18,11 +18,11 @@ derivative of these exact quadratics).
 
 The Coleman side works with Z = (weight of a uniformly random coalition)
 - 1/2 under the product of the simplex and fair-coin measures.  Its
-characteristic function is an even entire series (a 1F2 hypergeometric),
-evaluated to ~1e-10 for 1 <= n <= CF_N_MAX = 18.
-The expected Coleman index P[Z >= q - 1/2] is the closed-form mixture over
-coalition sizes, E[C] = 2^-n (1 + sum_m C(n, m) P[Beta(m, n-m) >= q]),
-evaluated as an all-positive binomial sum for 1 <= n <= 1000.
+characteristic function is an even entire series (a 1F2 hypergeometric)
+for small |t| and a finite sum by parts for large |t|, evaluated to ~1e-10
+for 1 <= n <= CF_N_MAX = 200.  The expected Coleman index P[Z >= q - 1/2]
+is the closed-form mixture over coalition sizes, E[C] = 2^-n (1 + sum_m
+C(n, m) P[Beta(m, n-m) >= q]), an all-positive binomial sum, for n <= 1000.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -247,20 +248,28 @@ def extrema_n3() -> tuple[Extremum, ...]:
 
 
 # --------------------------------------------------------------------------
-# characteristic function of the centered random-coalition weight
+# the random-coalition weight X: atoms 2^-n at 0 and 1 plus the mixture
+# sum_{0<m<n} 2^-n C(n, m) Beta(m, n-m), whose survival function S is, as
+# P[Beta(m, n-m) >= x] = P[Bin(n-1, x) <= m-1], the Bernstein polynomial of
+# degree n-1 with coefficients T_j / 2^n, T_j = sum_{j<m<n} C(n, m).
 
-# The large-|t| closed form sums alternating binomial terms, so its error
-# grows with n: against 50-digit mpmath over switch < t <= 3 switch + 60 the
-# worst absolute errors are 2.9e-11 at n = 18, 1.2e-10 at n = 19, 2.2e-10
-# at n = 20 and 5e-6 at n = 30.
-CF_N_MAX = 18
+def _mixture_tails(n: int) -> list[int]:
+    """T_j for j = 0 .. n-2, as exact integers."""
+    sizes = list(accumulate(range(1, n), lambda c, m: c * (n - m + 1) // m, initial=1))  # C(n, m)
+    return list(accumulate(reversed(sizes[1:])))[::-1]  # suffix sums over 0 < m < n
+
+
+# Against 60-digit mpmath sums of the series at 280 points in (0, 3 switch +
+# 60], the worst absolute errors are 1.4e-11 at n = 2, 4.0e-15 at 30, 3.6e-15
+# at 100 and 1.7e-12 at 200, all at or below the switch, where the series
+# loses more as n grows: the two branches differ there by 1.5e-11 at n = 229.
+CF_N_MAX = 200
 
 
 def _series_switch(n: int) -> float:
-    # Below this |t| the alternating series loses at most ~1e-10 absolute;
-    # above it the elementary closed form's recurrence is stable (it needs
-    # |t| comfortably above n).  Cross-validated in the test suite.
-    return max(30.0, n + 12.0)
+    # The series' terms peak near exp(t^2 / 4n); above this |t| the large-|t|
+    # sum's terms fall off as (switch / |t|)^k.  Cross-validated in the tests.
+    return max(30.0, n / 2)
 
 
 def _cf_series(n: int, t: np.ndarray) -> np.ndarray:
@@ -289,35 +298,40 @@ def _cf_series(n: int, t: np.ndarray) -> np.ndarray:
     return total + comp
 
 
-def _cf_continuous_large(n: int, t: np.ndarray) -> np.ndarray:
-    """Continuous part of the CF for large |t|, via the closed form of the
-    coalition-weight mixture.
+@functools.cache
+def _cf_large_coefficients(n: int) -> tuple[tuple[float, ...], ...]:
+    """The large-|t| sum's coefficients for even and for odd k: each signed
+    2 d_k / s^(k+1), with s the switch, rounded once from its exact value."""
+    s = Fraction(_series_switch(n))
+    diffs = [*_mixture_tails(n), 0]  # T_{n-1} = 0
+    falling, scale = 1, Fraction(1 << n)  # (n-1)!/(n-2-k)! and 2^n s^(k+1)
+    coefficients = ([], [])
+    for k in range(n - 1):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]  # now Delta^(k+1) T
+        falling, scale = falling * (n - 1 - k), scale * s
+        sign = 1 if (k + 1) // 2 % 2 else -1  # -(-1)^ceil(k/2): d_k's minus folded in
+        coefficients[k % 2].append(float(2 * sign * falling * diffs[0] / scale))
+    return tuple(map(tuple, coefficients))  # cached: shared by every call
 
-    A coalition of m of n players (0 < m < n) has total weight Beta(m, n-m)
-    under the uniform simplex law, whose CF is the Kummer function
-    1F1(m; n; it); for integer parameters that reduces to the moments
-    I_p = int_0^1 e^{itu} u^p du, computed by the upward recurrence
-    I_p = (e^{it} - p I_{p-1}) / (it), stable once |t| exceeds p.
+
+def _cf_continuous_large(n: int, t: np.ndarray) -> np.ndarray:
+    """Continuous part of the CF for large |t|, by parts from the exact table.
+
+    The mixture's density f = -S' has degree n-2, f(x) = f(1-x) and
+    d_k = f^(k)(0) = -(n-1)!/(n-2-k)! Delta^(k+1) T_0 / 2^n (Delta: forward
+    difference over j), so integration by parts ends after n-1 steps and
+    its endpoint terms pair into
+    2 sin(t/2) sum_{k even} (-1)^(k/2) d_k / t^(k+1)
+    + 2 cos(t/2) sum_{k odd} (-1)^((k+1)/2) d_k / t^(k+1): two Horner
+    sums in (s/t)^2, on coefficients scaled by s^(k+1) to keep them finite.
     """
-    if n == 1:
-        return np.zeros_like(t)
-    s = 1j * t
-    es = np.exp(s)
-    moments = [(es - 1.0) / s]
-    for p in range(1, n - 1):
-        moments.append((es - p * moments[p - 1]) / s)
-    phase = np.exp(-0.5j * t)
-    acc = np.zeros_like(t)
-    for m in range(1, n):
-        prefactor = math.factorial(n - 1) // (
-            math.factorial(m - 1) * math.factorial(n - m - 1)
-        )
-        series = np.zeros_like(s)
-        for r in range(n - m):
-            sign = -1 if r % 2 else 1
-            series = series + (sign * math.comb(n - m - 1, r)) * moments[m - 1 + r]
-        acc += (math.comb(n, m) * prefactor) * np.real(phase * series)
-    return acc * 2.0 ** (-n)
+    ratio = _series_switch(n) / t
+    u = ratio * ratio
+    even, odd = (
+        functools.reduce(lambda acc, c: acc * u + c, reversed(coefficients), np.zeros_like(u))
+        for coefficients in _cf_large_coefficients(n)
+    )
+    return np.sin(0.5 * t) * ratio * even + np.cos(0.5 * t) * u * odd
 
 
 def coalition_weight_cf(n: int, t) -> float | np.ndarray:
@@ -325,8 +339,8 @@ def coalition_weight_cf(n: int, t) -> float | np.ndarray:
 
     Real and even in t, equal to 1 at t = 0, bounded by 1 in absolute
     value; for a single player it is exactly cos(t/2).  Small |t| uses
-    the hypergeometric power series, large |t| an exact elementary
-    representation, so the whole real line is covered; a non-finite t
+    the hypergeometric power series, large |t| a finite sum by parts of
+    exact coefficients, so the whole real line is covered; a non-finite t
     is an error.  Validated to ~1e-10 absolute for n <= CF_N_MAX.
     """
     n = as_player_count(n)
@@ -347,9 +361,7 @@ def coalition_weight_cf(n: int, t) -> float | np.ndarray:
             out[small] = _cf_series(n, mag[small])
         if np.any(~small):
             big = mag[~small]
-            out[~small] = 2.0 ** (1 - n) * np.cos(0.5 * big) + _cf_continuous_large(
-                n, big
-            )
+            out[~small] = 2.0 ** (1 - n) * np.cos(0.5 * big) + _cf_continuous_large(n, big)
     if np.ndim(t) == 0:
         return float(out[0])
     return out
@@ -375,22 +387,10 @@ COLEMAN_N_MAX = 1000
 
 
 def _mixture_log_weights(n: int) -> np.ndarray:
-    """log(C(n-1, j) 2^-n sum_{j<m<n} C(n, m)) for j = 0 .. n-2.
-
-    Each weight is an exact integer ratio rounded once, then logged.
-    """
-    out = np.empty(n - 1)
-    scale = 1 << n
-    pmf_comb = 1   # C(n-1, j)
-    size_comb = 1  # C(n, j)
-    tail = scale - 2  # sum_{j<m<n} C(n, m)
-    for j in range(n - 1):
-        if j:
-            pmf_comb = pmf_comb * (n - j) // j
-            size_comb = size_comb * (n - j + 1) // j
-            tail -= size_comb
-        out[j] = math.log(pmf_comb * tail / scale)
-    return out
+    """log(C(n-1, j) T_j / 2^n) for j = 0 .. n-2: each weight is an exact
+    integer ratio rounded once, then logged."""
+    pmf = accumulate(range(1, n - 1), lambda c, j: c * (n - j) // j, initial=1)  # C(n-1, j)
+    return np.array([math.log(c * tail / (1 << n)) for c, tail in zip(pmf, _mixture_tails(n))])
 
 
 def expected_coleman(n: int, q: float) -> float:

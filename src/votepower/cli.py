@@ -20,8 +20,10 @@ imports the submodules it calls, and a run loads no others.  Before
 numpy is imported, ``OPENBLAS_NUM_THREADS`` defaults to 1 (a value that
 is already set is kept), so no idle BLAS threads spin in the process.
 
-Exit codes: 0 success, 2 usage error, 3 numeric convergence failure,
-4 enumeration or memory budget exceeded.
+Exit codes: 0 success, 1 I/O error, 2 usage error, 3 numeric convergence
+failure, 4 enumeration or memory budget exceeded.  A reader that closes
+the pipe early (``votepower ... | head``) ends the run with 1 and no
+message, as Unix filters do.
 """
 
 from __future__ import annotations
@@ -797,7 +799,9 @@ def build_parser(
         choices=("beta-n2", "beta-n3", "class-probs", "extrema", "cf"),
         required=True,
     )
-    sub.add_argument("--n", type=int, help="2 for beta-n2, 3 for the rest; any for cf (default 3)")
+    sub.add_argument(
+        "--n", type=int, help="2 for beta-n2, 3 for the rest; 1..200 for cf (default 3)"
+    )
     sub.add_argument("--quotas", help="comma-separated quota grid")
     sub.add_argument("--t", help="comma-separated CF arguments")
     _add_output_args(sub)
@@ -867,7 +871,19 @@ def main(argv=None) -> int:
     try:
         if "workers" in args and args.workers is None:
             args.workers = int(os.environ.get("VOTEPOWER_WORKERS", "1"))
-        return args.func(args)
+        code = args.func(args)
+        flush = getattr(sys.stdout, "flush", None)  # a table needs only write()
+        if flush is not None:
+            flush()  # so a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Quiet, as the Python docs advise for SIGPIPE: stdout goes to devnull
+        # so that the interpreter's flush at exit cannot fail again.  An
+        # in-process stream (StringIO, pytest's capture) has no descriptor.
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        return 1
     except BudgetExceededError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

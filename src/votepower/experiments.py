@@ -429,14 +429,10 @@ def discover_classes(n: int, budget: int = 10 ** 6, seed=0) -> GameClassCatalog:
         return _FamilyHits(_family_runs(games._full_sums(weights.T) >= quotas))
 
     found = _run_chunks(worker, budget, 1).settle()
-    families = found.hits.size
     wins = np.unpackbits(found.keys.view(np.uint8), axis=1)[:, : 1 << n]
     # Each family's winning coalitions, and those holding each player.
     omega = wins.sum(axis=1, dtype=np.int64)
-    member = np.stack([
-        wins.reshape(families, -1, 2, 1 << i)[:, :, 1].sum(axis=(1, 2), dtype=np.int64)
-        for i in range(n)
-    ])
+    member = games._member_sums(wins)
     beta = games._index_values(n, "beta", omega[None], member[None])[0].T
     classes = [
         GameClass(tuple(np.flatnonzero(w).tolist()), tuple(b), h)

@@ -217,15 +217,20 @@ def count_winning_naive(game: VotingGame) -> tuple[int, np.ndarray]:
             win[-1, -1] = True  # the grand coalition
         per_a += np.count_nonzero(win, axis=0)
         per_b[start:start + span] = np.count_nonzero(win, axis=1)
-    member = np.array(_member_sums(per_a) + _member_sums(per_b), dtype=np.int64)
+    member = np.concatenate([_member_sums(per_a), _member_sums(per_b)])
     return int(per_a.sum()), member
 
 
-def _member_sums(per_mask: np.ndarray) -> list[int]:
-    """For each bit i of the mask index, the sum of the per-mask counts over
-    the masks with bit i set."""
-    bits = per_mask.size.bit_length() - 1
-    return [int(per_mask.reshape(-1, 2, 1 << i)[:, 1].sum()) for i in range(bits)]
+def _member_sums(per_mask: np.ndarray) -> np.ndarray:
+    """For each bit i of the mask index (the last axis), the sum of the
+    per-mask counts over the masks with bit i set; shape (bits, *games)
+    for leading game axes, summed in int64."""
+    *lead, size = per_mask.shape
+    bits = size.bit_length() - 1
+    return np.array([
+        per_mask.reshape(*lead, -1, 2, 1 << i)[..., 1, :].sum(axis=(-2, -1), dtype=np.int64)
+        for i in range(bits)
+    ], dtype=np.int64).reshape(bits, *lead)
 
 
 def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
@@ -297,7 +302,7 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     per_a = np.empty(a_order.size, dtype=np.int64)
     per_a[a_order] = np.subtract(size, first, out=first)
     omega = int(per_a.sum())
-    member = np.array(_member_sums(per_a) + _member_sums(per_b), dtype=np.int64)
+    member = np.concatenate([_member_sums(per_a), _member_sums(per_b)])
     if not raw_grand:
         omega += 1
         member += 1

@@ -88,12 +88,13 @@ def coalition_cf_quadrature(n, t):
     weighted rule, so E cos(t (W - 1/2)) = 2^(1-n) cos(t/2)
     + cos(t/2) int f cos(t w) + sin(t/2) int f sin(t w).
     """
+    terms = [
+        (math.comb(n, m) * (n - 1) * math.comb(n - 2, m - 1), m - 1, n - m - 1)
+        for m in range(1, n)
+    ]
+
     def density(w):
-        return math.fsum(
-            math.comb(n, m) * (n - 1) * math.comb(n - 2, m - 1)
-            * w ** (m - 1) * (1.0 - w) ** (n - m - 1)
-            for m in range(1, n)
-        ) / 2.0 ** n
+        return math.fsum(c * w ** a * (1.0 - w) ** b for c, a, b in terms) / 2.0 ** n
 
     tolerances = {"epsabs": 1e-13, "epsrel": 1e-12, "limit": 200}
     cos_part = quad(density, 0.0, 1.0, weight="cos", wvar=t, **tolerances)[0]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from votepower import (
@@ -196,10 +198,10 @@ class TestCoalitionWeightCf:
         assert np.array_equal(values, coalition_weight_cf(6, -t))
         assert np.max(np.abs(values)) <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16, 19, 30, 100])
     def test_series_and_elementary_paths_agree(self, n):
         switch = _series_switch(n)
-        t = np.linspace(max(n + 1.0, switch - 6.0), switch + 6.0, 41)
+        t = np.linspace(switch - 6.0, switch + 6.0, 41)
         series = _cf_series(n, t)
         elementary = 2.0 ** (1 - n) * np.cos(0.5 * t) + _cf_continuous_large(n, t)
         assert np.max(np.abs(series - elementary)) < 1e-9
@@ -210,7 +212,17 @@ class TestCoalitionWeightCf:
             with pytest.raises(InvalidArgumentsError, match="finite"):
                 coalition_weight_cf(n, t)
 
-    @pytest.mark.parametrize("n", [2, 5, CF_N_MAX])
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, CF_N_MAX), t=st.floats(0.0, 1e4))
+    def test_even_bounded_and_continuous_at_the_switch(self, n, t):
+        value = coalition_weight_cf(n, t)
+        assert coalition_weight_cf(n, -t) == value
+        assert abs(value) <= 1.0 + 1e-12
+        switch = _series_switch(n)
+        below, above = coalition_weight_cf(n, np.array([switch, np.nextafter(switch, np.inf)]))
+        assert abs(below - above) <= 1e-11
+
+    @pytest.mark.parametrize("n", [2, 5, 18, 19, 30, 100, CF_N_MAX])
     def test_matches_quadrature_reference(self, n):
         switch = _series_switch(n)
         ts = np.concatenate(

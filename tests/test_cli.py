@@ -187,6 +187,11 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert "AccuracyUnsupportedError" in err
 
+    def test_cf_help_names_the_validated_range(self, capsys):
+        code, out, _ = run_cli(["analytic", "--help"], capsys)
+        assert code == 0
+        assert f"1..{analytic.CF_N_MAX} for cf" in " ".join(out.split())
+
     def test_single_quota_is_a_one_point_grid(self, capsys):
         code, out, err = run_cli(
             ["coleman-curve", "--n", "6", "--method", "normal", "--quota", "0.5"], capsys
@@ -336,13 +341,43 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("players", [3, 12])
+    def test_closed_pipe_exits_quietly(self, players):
+        # Three players' curve fits in the stream's buffer, so the write
+        # fails at the final flush; twelve players' 24576 rows fail mid-table.
+        # The read end is closed before the child starts, so every run fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        argv = ["fixed-curve", "--weights", _WEIGHTS[players], "--functional", "psi"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "votepower.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=_package_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_broken_pipe_without_a_descriptor(self, capsys, monkeypatch):
+        def closed(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(experiments, "mc_power_curve", closed)
+        argv = ["power-curve", "--n", "3", "--samples", "16", "--quotas", "0.6"]
+        assert run_cli(argv, capsys) == (1, "", "")
+
+
+def _package_env():
+    """This process's environment, with this votepower first on PYTHONPATH."""
+    package_root = str(Path(votepower.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
+
 
 def fresh_interpreter(code, **variables):
     """Run ``code`` in a new Python process that imports this votepower;
     ``variables`` set its environment variables (None unsets one)."""
-    package_root = str(Path(votepower.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
+    env = _package_env()
     for key, value in variables.items():
         if value is None:
             env.pop(key, None)
@@ -1016,6 +1051,19 @@ class TestClosedFormBytes:
     )
     def test_default_output_digest(self, capsys, what, digest):
         code, out, _ = run_cli(["analytic", "--what", what], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (12, "4c7ca7e46ef9e365dda44fe7990e749c546c62e20bc20014b9f265d2a72cda80"),
+            (30, "b0880e4a328a719b4e96a44081118343f099e15434d52f4ebb3513422a81deac"),
+        ],
+    )
+    def test_coleman_inversion_digest(self, capsys, n, digest):
+        # every bit of expected_coleman on the default quota grid
+        code, out, _ = run_cli(["coleman-curve", "--n", str(n), "--method", "inversion"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
