@@ -17,12 +17,13 @@ q = 5/9 and a local minimum at q = 13/18 (natures read off the second
 derivative of these exact quadratics).
 
 The Coleman side works with Z = (weight of a uniformly random coalition)
-- 1/2 under the product of the simplex and fair-coin measures.  Its
-characteristic function is an even entire series (a 1F2 hypergeometric)
-for small |t| and a finite sum by parts for large |t|, evaluated to ~1e-10
-for 1 <= n <= CF_N_MAX = 200.  The expected Coleman index P[Z >= q - 1/2]
-is the closed-form mixture over coalition sizes, E[C] = 2^-n (1 + sum_m
-C(n, m) P[Beta(m, n-m) >= q]), an all-positive binomial sum, for n <= 1000.
+- 1/2 under the product of the simplex and fair-coin measures: atoms at
++-1/2 and a mixture over coalition sizes, both read off one exact integer
+table.  The expected Coleman index P[Z >= q - 1/2] is the all-positive
+binomial sum E[C] = 2^-n (1 + sum_m C(n, m) P[Beta(m, n-m) >= q]); the
+characteristic function is Gauss-Legendre quadrature of the all-positive
+mixture density for small |t| and a finite sum by parts for large |t|, to
+~1e-13.  Both serve 1 <= n <= COLEMAN_N_MAX = 1000.
 """
 
 from __future__ import annotations
@@ -259,50 +260,62 @@ def _mixture_tails(n: int) -> list[int]:
     return list(accumulate(reversed(sizes[1:])))[::-1]  # suffix sums over 0 < m < n
 
 
-# Against 60-digit mpmath sums of the series at 280 points in (0, 3 switch +
-# 60], the worst absolute errors are 1.4e-11 at n = 2, 4.0e-15 at 30, 3.6e-15
-# at 100 and 1.7e-12 at 200, all at or below the switch, where the series
-# loses more as n grows: the two branches differ there by 1.5e-11 at n = 229.
-CF_N_MAX = 200
+COLEMAN_N_MAX = 1000  # the CF's and E[C]'s validated range
 
 
-def _series_switch(n: int) -> float:
-    # The series' terms peak near exp(t^2 / 4n); above this |t| the large-|t|
-    # sum's terms fall off as (switch / |t|)^k.  Cross-validated in the tests.
-    return max(30.0, n / 2)
+def _cf_switch(n: int) -> int:
+    # Up to here the quadrature, whose panels follow the oscillation; above,
+    # the sum by parts, whose terms fall off as (switch / |t|)^k.
+    return max(30, n)
 
 
-def _cf_series(n: int, t: np.ndarray) -> np.ndarray:
-    """Even power series sum_j (-1)^j (t/2)^{2j} C(j+n-1, n-1) / (n)_{2j},
-    accumulated with Neumaier compensation."""
-    term = np.ones_like(t)
-    total = np.ones_like(t)
-    comp = np.zeros_like(t)
-    tsq = t * t
-    j = 0
-    while True:
-        ratio = -(tsq * (j + n)) / (4.0 * (j + 1) * (n + 2 * j) * (n + 2 * j + 1))
-        term = term * ratio
-        fresh = total + term
-        comp += np.where(
-            np.abs(total) >= np.abs(term),
-            (total - fresh) + term,
-            (term - fresh) + total,
-        )
-        total = fresh
-        j += 1
-        if j >= 8 and np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-30)):
-            break
-        if j > 800:
-            raise ConvergenceFailureError("characteristic-function series stalled")
-    return total + comp
+@functools.cache
+def _cf_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-nodes (x - 1/2) / 2 and weights for 1 - CF = E 2 sin^2(t (X - 1/2) / 2).
+
+    The density f = -S', f(x) = f(1 - x), is the Bernstein polynomial with
+    coefficients (n-1) C(n-2, j) (T_j - T_(j+1)) / 2^n, all positive; at x
+    it is a sum of exp(log of the exact coefficient + j log x + (n-2-j)
+    log(1-x)).  The nodes are 2 + n // 16 Gauss-Legendre panels of 20 on
+    [0, 1/2], weighted 4 w f(x), and x = 0 for the atoms, weighted 2^(2-n).
+    """
+    from numpy.polynomial.legendre import leggauss  # here: only the CF uses it
+
+    nodes, weights = leggauss(20)
+    panels = 2 + n // 16
+    half = 0.25 / panels
+    x = ((np.arange(panels)[:, None] * 2 + 1 + nodes) * half).ravel()
+    tails = [*_mixture_tails(n), 0]
+    binomials = accumulate(range(1, n - 1), lambda c, j: c * (n - 1 - j) // j, initial=1)
+    logs = [  # (n-1) C(n-2, j) (T_j - T_(j+1)) / 2^n
+        math.log((n - 1) * c * (a - b) / (1 << n)) for c, a, b in zip(binomials, tails, tails[1:])
+    ]
+    j = np.arange(n - 1)
+    terms = np.exp(np.array(logs) + j * np.log(x)[:, None] + (n - 2 - j) * np.log1p(-x)[:, None])
+    weights = 4 * half * np.tile(weights, panels) * terms.sum(axis=1)
+    rule = np.append(x, 0.0) / 2 - 0.25, np.append(weights, 2.0 ** (2 - n))
+    for array in rule:
+        array.setflags(write=False)  # cached: shared by every call
+    return rule
+
+
+def _cf_small(n: int, t: np.ndarray) -> np.ndarray:
+    """The CF for |t| up to the switch, 1 minus the rule's positive sum (so
+    exactly 1 at t = 0), over blocks of t."""
+    half_nodes, weights = _cf_quadrature_rule(n)
+    out = np.empty_like(t)
+    step = max(1, (1 << 18) // half_nodes.size)
+    for first in range(0, t.size, step):
+        sines = np.sin(np.multiply.outer(t[first:first + step], half_nodes))
+        out[first:first + step] = 1.0 - np.square(sines, out=sines) @ weights
+    return out
 
 
 @functools.cache
 def _cf_large_coefficients(n: int) -> tuple[tuple[float, ...], ...]:
     """The large-|t| sum's coefficients for even and for odd k: each signed
     2 d_k / s^(k+1), with s the switch, rounded once from its exact value."""
-    s = Fraction(_series_switch(n))
+    s = Fraction(_cf_switch(n))
     diffs = [*_mixture_tails(n), 0]  # T_{n-1} = 0
     falling, scale = 1, Fraction(1 << n)  # (n-1)!/(n-2-k)! and 2^n s^(k+1)
     coefficients = ([], [])
@@ -325,12 +338,9 @@ def _cf_continuous_large(n: int, t: np.ndarray) -> np.ndarray:
     + 2 cos(t/2) sum_{k odd} (-1)^((k+1)/2) d_k / t^(k+1): two Horner
     sums in (s/t)^2, on coefficients scaled by s^(k+1) to keep them finite.
     """
-    ratio = _series_switch(n) / t
+    ratio = _cf_switch(n) / t
     u = ratio * ratio
-    even, odd = (
-        functools.reduce(lambda acc, c: acc * u + c, reversed(coefficients), np.zeros_like(u))
-        for coefficients in _cf_large_coefficients(n)
-    )
+    even, odd = (np.polyval(coefficients[::-1], u) for coefficients in _cf_large_coefficients(n))
     return np.sin(0.5 * t) * ratio * even + np.cos(0.5 * t) * u * odd
 
 
@@ -338,59 +348,47 @@ def coalition_weight_cf(n: int, t) -> float | np.ndarray:
     """Characteristic function of the centered weight of a random coalition.
 
     Real and even in t, equal to 1 at t = 0, bounded by 1 in absolute
-    value; for a single player it is exactly cos(t/2).  Small |t| uses
-    the hypergeometric power series, large |t| a finite sum by parts of
-    exact coefficients, so the whole real line is covered; a non-finite t
-    is an error.  Validated to ~1e-10 absolute for n <= CF_N_MAX.
+    value; for a single player it is cos(t/2).  Up to |t| = max(30, n) a
+    composite Gauss-Legendre rule integrates the all-positive mixture
+    density; above, a finite sum by parts of exact coefficients, so the
+    whole real line is covered; a non-finite t is an error.  Within 1e-13
+    absolute of the power series summed in exact rationals, n <= COLEMAN_N_MAX.
     """
     n = as_player_count(n)
-    if n > CF_N_MAX:
+    if n > COLEMAN_N_MAX:
         raise AccuracyUnsupportedError(
-            f"the coalition-weight CF is validated for n <= {CF_N_MAX}"
+            f"the coalition-weight CF is validated for n <= {COLEMAN_N_MAX}"
         )
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not np.isfinite(arr).all():
         raise InvalidArgumentsError("CF arguments must be finite")
     out = np.empty_like(arr)
     mag = np.abs(arr)
-    if n == 1:
-        out[:] = np.cos(0.5 * arr)
-    else:
-        small = mag <= _series_switch(n)
-        if np.any(small):
-            out[small] = _cf_series(n, mag[small])
-        if np.any(~small):
-            big = mag[~small]
-            out[~small] = 2.0 ** (1 - n) * np.cos(0.5 * big) + _cf_continuous_large(n, big)
-    if np.ndim(t) == 0:
-        return float(out[0])
-    return out
+    small = mag <= _cf_switch(n)
+    if np.any(small):
+        out[small] = _cf_small(n, mag[small])
+    if np.any(~small):
+        big = mag[~small]
+        out[~small] = 2.0 ** (1 - n) * np.cos(0.5 * big) + _cf_continuous_large(n, big)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def _cf_continuous(n: int, t: np.ndarray) -> np.ndarray:
     """CF of the continuous part only (atoms at +-1/2 removed)."""
-    out = np.empty_like(t)
-    mag = np.abs(t)
-    small = mag <= _series_switch(n)
-    if np.any(small):
-        sm = mag[small]
-        out[small] = _cf_series(n, sm) - 2.0 ** (1 - n) * np.cos(0.5 * sm)
-    if np.any(~small):
-        out[~small] = _cf_continuous_large(n, mag[~small])
-    return out
+    return coalition_weight_cf(n, t) - 2.0 ** (1 - n) * np.cos(0.5 * t)
 
 
 # --------------------------------------------------------------------------
 # expected Coleman index: the coalition-size Beta mixture
 
-COLEMAN_N_MAX = 1000
-
-
+@functools.cache
 def _mixture_log_weights(n: int) -> np.ndarray:
     """log(C(n-1, j) T_j / 2^n) for j = 0 .. n-2: each weight is an exact
-    integer ratio rounded once, then logged."""
+    integer ratio rounded once, then logged.  Cached per n, so read-only."""
     pmf = accumulate(range(1, n - 1), lambda c, j: c * (n - j) // j, initial=1)  # C(n-1, j)
-    return np.array([math.log(c * tail / (1 << n)) for c, tail in zip(pmf, _mixture_tails(n))])
+    logs = np.array([math.log(c * tail / (1 << n)) for c, tail in zip(pmf, _mixture_tails(n))])
+    logs.setflags(write=False)
+    return logs
 
 
 def expected_coleman(n: int, q: float) -> float:

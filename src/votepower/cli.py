@@ -800,7 +800,7 @@ def build_parser(
         required=True,
     )
     sub.add_argument(
-        "--n", type=int, help="2 for beta-n2, 3 for the rest; 1..200 for cf (default 3)"
+        "--n", type=int, help="2 for beta-n2, 3 for the rest; 1..1000 for cf (default 3)"
     )
     sub.add_argument("--quotas", help="comma-separated quota grid")
     sub.add_argument("--t", help="comma-separated CF arguments")

@@ -34,16 +34,9 @@ MC_KERNEL_BUDGET = 18          # vectorized per-sample enumeration cap
 # and ranges give every output bit, so changing it changes the bits.
 _SUM_CELL_BUDGET = 1 << 22
 # Cells a tile of counting holds: per sample its 2^n sums, which become its
-# bin keys, and its histogram entries.  It sets only cache residency.
+# bin keys, and its histogram entries; or a block of Hoeffding weight rows.
+# It sets only cache residency and memory.
 _TILE_CELL_BUDGET = 1 << 18
-# The Hoeffding curve holds, per worker, one MC_CHUNK x n weight chunk, and
-# drawing it takes three float64 arrays of that shape: 96 KiB per player.
-# Peak RSS of ``coleman-curve --method hoeffding-bound`` was 132 MB
-# at n = 1000 and 413 MB at n = 4000 on one worker, and 221 MB at n = 1000
-# on two.  n times the workers holding chunks is capped so that the chunks
-# stay within HOEFFDING_RSS_BUDGET bytes.
-HOEFFDING_RSS_BUDGET = 256 << 20
-HOEFFDING_BUDGET = HOEFFDING_RSS_BUDGET // (3 * 8 * MC_CHUNK)  # 2730 players
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +74,16 @@ def _chunk_games(n: int, seed, chunk_index: int, count: int):
 def _sorted_weight_chunk(n: int, seed, chunk_index: int, count: int) -> np.ndarray:
     """Rows [0, count) of chunk ``chunk_index``, each sorted descending."""
     return _chunk_games(n, seed, chunk_index, count)[0]
+
+
+def _square_sum_chunk(n: int, seed, chunk_index: int, count: int) -> np.ndarray:
+    """Each row's sum of squares for the rows of ``_sorted_weight_chunk``,
+    drawn from the chunk's generator a block of rows at a time, so no
+    chunk x n matrix is held."""
+    rng = as_seed(seed).substream(chunk_index).generator()
+    rows = max(1, _TILE_CELL_BUDGET // n)
+    blocks = (_simplex_rows(rng, n, min(rows, count - i)) for i in range(0, count, rows))
+    return np.concatenate([np.square(np.sort(w)[:, ::-1]).sum(axis=1) for w in blocks])
 
 
 class _Accumulator:
@@ -178,12 +181,11 @@ def _check_kernel_budget(n: int) -> None:
         )
 
 
-def _hoeffding_values(weights, grid, scratch=None):
-    """The (grid, samples) Hoeffding bounds of a chunk, in one block, which
-    is an array of ``scratch`` if one is given."""
-    ssq = (weights * weights).sum(axis=1)
-    values = games._scratch_array(scratch, "values", grid.size * len(weights))
-    values = values.reshape(grid.size, len(weights))
+def _hoeffding_values(ssq, grid, scratch=None):
+    """The (grid, samples) Hoeffding bounds of a chunk from each sample's
+    sum of squared weights, in one block, which is an array of ``scratch``
+    if one is given."""
+    values = games._scratch_array(scratch, "values", grid.size * ssq.size).reshape(grid.size, -1)
     np.divide(-2.0 * (grid[:, None] - 0.5) ** 2, ssq[None, :], out=values)
     yield np.exp(values, out=values)
 
@@ -210,11 +212,14 @@ def _reduce(partials):
     return combined
 
 
-def _mc_curves(n, quotas, samples, seed, workers, values, names, method="mc"):
+def _mc_curves(
+    n, quotas, samples, seed, workers, values, names, method="mc", draw=_sorted_weight_chunk
+):
     """The Monte Carlo run shared by the ``mc_*`` estimators.
 
-    ``values(weights, grid, scratch=scratch)`` maps a chunk of
-    descending-sorted weight vectors, one row per sample, to blocks of
+    ``draw(n, seed, index, count)`` gives a chunk's samples, by default its
+    descending-sorted weight vectors, one row per sample, and
+    ``values(samples, grid, scratch=scratch)`` maps them to blocks of
     values with the samples on the last axis; the axes after the grid give
     one curve per name.  ``scratch`` is a ``threading.local``, so each
     worker thread holds its own working arrays from chunk to chunk, and
@@ -227,8 +232,7 @@ def _mc_curves(n, quotas, samples, seed, workers, values, names, method="mc"):
 
     def worker(index, count):
         acc = None
-        weights = _sorted_weight_chunk(n, base, index, count)
-        for block in values(weights, grid, scratch=scratch):
+        for block in values(draw(n, base, index, count), grid, scratch=scratch):
             if acc is None:
                 acc = _Accumulator(block.shape[:-1])
             acc.add(block, axis=-1)
@@ -285,19 +289,13 @@ def mc_hoeffding_curve(
     """Monte Carlo mean of the per-game Hoeffding bound on the Coleman index.
 
     The bound needs only each sample's sum of squared weights, so unlike
-    the enumerating estimators it enumerates nothing.  Its weight chunks
-    bound n instead: n times the workers that hold a chunk at once may be
-    at most ``HOEFFDING_BUDGET``.
+    the enumerating estimators it enumerates nothing, and a chunk's weights
+    are reduced to those sums a block of rows at a time, whatever n.
     """
     n, samples, workers = _mc_counts(n, samples, workers)
-    held = min(workers, -(-samples // MC_CHUNK))  # chunks in memory at once
-    if n * held > HOEFFDING_BUDGET:
-        raise BudgetExceededError(
-            f"the Hoeffding curve supports n * workers <= {HOEFFDING_BUDGET}"
-        )
     return _mc_curves(
         n, quotas, samples, seed, workers, _hoeffding_values, ["hoeffding_bound"],
-        method="hoeffding-bound",
+        method="hoeffding-bound", draw=_square_sum_chunk,
     )[0]
 
 

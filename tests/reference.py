@@ -105,6 +105,26 @@ def coalition_cf_quadrature(n, t):
     )
 
 
+def coalition_cf_exact(n, t):
+    """CF of the centered random-coalition weight at a rational t as the
+    even power series sum_j (-1)^j (t/2)^(2j) C(j+n-1, n-1) / (n)_(2j) (a
+    1F2 hypergeometric), summed in exact rationals and rounded once.
+
+    Once a term's ratio to the last falls below 1/2, which it keeps doing,
+    the alternating tail is below the last term, so the sum stops when that
+    term is below 2^-64."""
+    x = Fraction(t) ** 2 / 4
+    term = total = Fraction(1)
+    j = 0
+    while True:
+        ratio = x * (j + n) / ((j + 1) * (n + 2 * j) * (n + 2 * j + 1))
+        term *= -ratio
+        total += term
+        j += 1
+        if ratio < Fraction(1, 2) and abs(term) < Fraction(1, 1 << 64):
+            return float(total)
+
+
 def ordered_weight_density_exact(n, k, x):
     """Density of the k-th largest of n simplex-uniform weights at the float
     x as an exact Fraction: n (n-1) C(n-1, k-1) times the alternating sum

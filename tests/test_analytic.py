@@ -26,11 +26,11 @@ from votepower import (
     sum_sq_stats,
 )
 from votepower.analytic import (
-    CF_N_MAX,
+    COLEMAN_N_MAX,
     _cf_continuous_large,
-    _cf_series,
+    _cf_small,
+    _cf_switch,
     _poly_eval,
-    _series_switch,
 )
 
 import reference
@@ -198,13 +198,13 @@ class TestCoalitionWeightCf:
         assert np.array_equal(values, coalition_weight_cf(6, -t))
         assert np.max(np.abs(values)) <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16, 19, 30, 100])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 12, 16, 19, 30, 100, 400, 1000])
     def test_series_and_elementary_paths_agree(self, n):
-        switch = _series_switch(n)
+        # the quadrature and the sum by parts on both sides of the switch
+        switch = _cf_switch(n)
         t = np.linspace(switch - 6.0, switch + 6.0, 41)
-        series = _cf_series(n, t)
         elementary = 2.0 ** (1 - n) * np.cos(0.5 * t) + _cf_continuous_large(n, t)
-        assert np.max(np.abs(series - elementary)) < 1e-9
+        assert np.max(np.abs(_cf_small(n, t) - elementary)) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_non_finite_arguments_are_rejected(self, n):
@@ -213,18 +213,18 @@ class TestCoalitionWeightCf:
                 coalition_weight_cf(n, t)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, CF_N_MAX), t=st.floats(0.0, 1e4))
+    @given(n=st.integers(1, COLEMAN_N_MAX), t=st.floats(0.0, 1e4))
     def test_even_bounded_and_continuous_at_the_switch(self, n, t):
         value = coalition_weight_cf(n, t)
         assert coalition_weight_cf(n, -t) == value
         assert abs(value) <= 1.0 + 1e-12
-        switch = _series_switch(n)
+        switch = _cf_switch(n)
         below, above = coalition_weight_cf(n, np.array([switch, np.nextafter(switch, np.inf)]))
         assert abs(below - above) <= 1e-11
 
-    @pytest.mark.parametrize("n", [2, 5, 18, 19, 30, 100, CF_N_MAX])
+    @pytest.mark.parametrize("n", [2, 5, 18, 19, 30, 100, 200])
     def test_matches_quadrature_reference(self, n):
-        switch = _series_switch(n)
+        switch = _cf_switch(n)
         ts = np.concatenate(
             [np.linspace(0.5, switch, 9), np.linspace(switch + 1e-9, 3 * switch + 60, 41)]
         )
@@ -232,10 +232,20 @@ class TestCoalitionWeightCf:
         for t, value in zip(ts, values):
             assert abs(value - reference.coalition_cf_quadrature(n, t)) < 1e-10, t
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 200, 400, 700, 1000])
+    def test_matches_exact_rational_series(self, n):
+        # dyadic t = k/8 from near 0 to twice the switch, and across it
+        switch = _cf_switch(n)
+        ks = np.unique(np.linspace(1, 16 * switch, 9).astype(int))
+        ks = np.union1d(ks, [8 * switch - 1, 8 * switch, 8 * switch + 1])
+        values = coalition_weight_cf(n, ks / 8)
+        for k, value in zip(ks, values):
+            assert abs(value - reference.coalition_cf_exact(n, Fraction(int(k), 8))) < 1e-13, k
+
     @pytest.mark.parametrize("t", [0.0, 1.0, 108.0])
     def test_above_validated_range_is_unsupported(self, t):
-        with pytest.raises(AccuracyUnsupportedError, match=f"n <= {CF_N_MAX}"):
-            coalition_weight_cf(CF_N_MAX + 1, t)
+        with pytest.raises(AccuracyUnsupportedError, match=f"n <= {COLEMAN_N_MAX}"):
+            coalition_weight_cf(COLEMAN_N_MAX + 1, t)
 
     def test_monte_carlo_product_of_cosines(self):
         # E prod cos(t W_k / 2) is the CF of the coalition weight before

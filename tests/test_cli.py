@@ -182,7 +182,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("above", [1, 32])
     def test_cf_above_validated_range(self, capsys, above):
-        n = str(analytic.CF_N_MAX + above)
+        n = str(analytic.COLEMAN_N_MAX + above)
         code, out, err = run_cli(["analytic", "--what", "cf", "--n", n, "--t", "1,108"], capsys)
         assert (code, out) == (2, "")
         assert "AccuracyUnsupportedError" in err
@@ -190,7 +190,7 @@ class TestUsageErrors:
     def test_cf_help_names_the_validated_range(self, capsys):
         code, out, _ = run_cli(["analytic", "--help"], capsys)
         assert code == 0
-        assert f"1..{analytic.CF_N_MAX} for cf" in " ".join(out.split())
+        assert f"1..{analytic.COLEMAN_N_MAX} for cf" in " ".join(out.split())
 
     def test_single_quota_is_a_one_point_grid(self, capsys):
         code, out, err = run_cli(
@@ -291,12 +291,11 @@ class TestExitCodes:
         assert code == 4
         assert "BudgetExceededError" in err
 
-    def test_hoeffding_budget_error(self, capsys):
-        n = str(experiments.HOEFFDING_BUDGET + 1)
-        argv = ["coleman-curve", "--n", n, "--method", "hoeffding-bound", "--samples", "1"]
-        code, out, err = run_cli([*argv, "--quotas", "0.6"], capsys)
-        assert (code, out) == (4, "")
-        assert "BudgetExceededError" in err
+    def test_hoeffding_has_no_player_cap(self, capsys):
+        argv = ["coleman-curve", "--n", "3000", "--method", "hoeffding-bound", "--samples", "3"]
+        code, out, err = run_cli([*argv, "--quotas", "0.6,1.0", "--workers", "2"], capsys)
+        assert (code, err) == (0, "")
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["hoeffding_bound"] * 2
 
     def test_convergence_error(self, capsys, monkeypatch):
         def stalled(n, q):
@@ -501,6 +500,22 @@ class TestImport:
         )
         assert proc.stdout.startswith("quota,")
         assert proc.stderr.strip() == "0 False"
+
+    def test_only_the_cf_loads_numpy_polynomial(self):
+        if "True" in fresh_interpreter(
+            "import sys, numpy; print('numpy.polynomial' in sys.modules)"
+        ).stdout:
+            pytest.skip("importing numpy alone loads numpy.polynomial here")
+        for argv, loaded in [
+            (["coleman-curve", "--n", "12", "--method", "inversion"], "False"),
+            (["analytic", "--what", "cf", "--n", "12"], "True"),
+        ]:
+            proc = fresh_interpreter(
+                "import sys; from votepower.cli import main; "
+                f"code = main({argv!r}); "
+                "print(code, 'numpy.polynomial' in sys.modules, file=sys.stderr)"
+            )
+            assert proc.stderr.strip() == f"0 {loaded}"
 
     @pytest.mark.parametrize("parent, seen", [(None, "1"), ("2", "2")])
     def test_cli_defaults_openblas_threads_to_one(self, parent, seen):

@@ -137,17 +137,17 @@ class TestColemanCurve:
         with pytest.raises(BudgetExceededError):
             mc_coleman_curve(MC_KERNEL_BUDGET + 1, grid, samples=1, seed=seed)
 
-    def test_hoeffding_budget(self):
-        budget = experiments.HOEFFDING_BUDGET
-        assert budget * 3 * 8 * MC_CHUNK <= experiments.HOEFFDING_RSS_BUDGET
-        with pytest.raises(BudgetExceededError, match=f"n \\* workers <= {budget}"):
-            mc_hoeffding_curve(budget + 1, [0.6], samples=1)
-        # Two chunks on two workers are held at once; one chunk is held once.
-        n = budget // 2 + 1
-        with pytest.raises(BudgetExceededError):
-            mc_hoeffding_curve(n, [0.6], samples=MC_CHUNK + 1, workers=2)
-        with pytest.raises(BudgetExceededError):
-            mc_hoeffding_curve(budget + 1, [0.6], samples=1, workers=2)
+    def test_hoeffding_at_many_players_matches_per_game_bounds(self, monkeypatch):
+        # Chunks of 3 games keep the oracle's weight rows small; 5 samples
+        # are two chunks, one per worker.  No cap on n x workers remains.
+        monkeypatch.setattr(experiments, "MC_CHUNK", 3)
+        n, seed, grid = 3000, 8, np.array([0.52, 0.7, 1.0])
+        curve = mc_hoeffding_curve(n, grid, samples=5, seed=seed, workers=2)
+        rows = [*_sorted_weight_chunk(n, seed, 0, 3), *_sorted_weight_chunk(n, seed, 1, 2)]
+        for q, mean, stderr in zip(grid, curve.mean, curve.stderr):
+            bounds = [games.hoeffding_bound(VotingGame(w, q)) for w in rows]
+            assert mean == pytest.approx(np.mean(bounds), rel=1e-12)
+            assert stderr == pytest.approx(np.std(bounds, ddof=1) / math.sqrt(5), rel=1e-6, abs=1e-15)
 
 
 class TestChunkReduction:
