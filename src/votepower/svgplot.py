@@ -7,8 +7,6 @@ what amounts to axes plus polylines.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InvalidArgumentsError
 
 _WIDTH, _HEIGHT = 640, 420
@@ -35,6 +33,8 @@ def emit_plot(series, path: str, caption: str, xlabel: str = "q", ylabel: str = 
     Raises if there is nothing to draw; a single point degenerates to a
     marker.  Returns the path written.
     """
+    import numpy as np  # here, so importing the CLI's parser loads no numpy
+
     cleaned = []
     for name, xs, ys in series:
         xs = np.asarray(xs, dtype=np.float64).reshape(-1)

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 import reference
 import votepower
 from votepower import ConvergenceFailureError, analytic, experiments, games, simplex
-from votepower.cli import (
+from votepower.cli import main
+from votepower.commands import (
     _CURVE_HEADER,
     _TABLE_BLOCK,
     _digits_exponent,
     _float_text,
     _write_table,
-    main,
 )
 
 
@@ -517,6 +517,37 @@ class TestImport:
             )
             assert proc.stderr.strip() == f"0 {loaded}"
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["power-curve", "--help"], 0), (["power-curve"], 2),
+         (["--config", "unknown.cfg", "moments", "--n", "4"], 2)],
+        ids=["help", "subcommand-help", "usage-error", "config-error"],
+    )
+    def test_help_and_usage_errors_load_no_numpy(self, tmp_path, argv, code):
+        (tmp_path / "unknown.cfg").write_text("no-such-option = 1\n")
+        argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+        proc = fresh_interpreter(
+            "import sys; from votepower.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)"
+        )
+        assert proc.stderr.splitlines()[-1] == f"{code} False"
+
+    def test_module_run_plots_without_a_second_cli(self, tmp_path):
+        # under ``python -m votepower.cli`` the handlers' lookup of emit_plot
+        # finds the running module, so no second copy is compiled and run
+        svg = tmp_path / "d.svg"
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "votepower.cli", "weight-density",
+             "--n", "3", "--k", "1", "--points", "8", "--plot", str(svg)],
+            capture_output=True, text=True, env=_package_env(),
+        )
+        assert proc.returncode == 0
+        assert svg.read_text().startswith("<?xml")
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "votepower.commands" in imported
+        assert "votepower.cli" not in imported
+
     @pytest.mark.parametrize("parent, seen", [(None, "1"), ("2", "2")])
     def test_cli_defaults_openblas_threads_to_one(self, parent, seen):
         proc = fresh_interpreter(
@@ -613,6 +644,35 @@ class TestDeterminismAndRoundTrip:
         fit = json.loads(out)
         assert fit["series"] == "beta_rank_1"
         assert fit["piece_coefficients"][0][0] == pytest.approx(1.5, abs=1e-9)
+
+    def test_spline_fit_reads_json_curves_as_csv_ones(self, tmp_path, capsys):
+        # both float texts round-trip exactly, so the fits agree to the byte
+        fits = []
+        for fmt in ("csv", "json"):
+            curve_path = tmp_path / f"curve.{fmt}"
+            code, _, _ = run_cli(
+                ["power-curve", "--n", "6", "--samples", "256", "--output", str(curve_path),
+                 "--format", fmt],
+                capsys,
+            )
+            assert code == 0
+            fits.append(run_cli(
+                ["spline-fit", "--input", str(curve_path), "--series", "beta_rank_2",
+                 "--max-degree", "5"],
+                capsys,
+            ))
+        assert fits[0][0] == 0
+        assert fits[1] == fits[0]
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '[{"quota": 0.6}]', "[{"])
+    def test_spline_fit_rejects_other_json(self, tmp_path, capsys, text):
+        curve_path = tmp_path / "curve.json"
+        curve_path.write_text(text)
+        code, out, err = run_cli(
+            ["spline-fit", "--input", str(curve_path), "--max-degree", "1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "is not a curve JSON row list" in err
 
     @pytest.mark.parametrize("quota,mean", [("0.65", "nan"), ("nan", "0.5"), ("0.65", "inf")])
     def test_spline_fit_rejects_non_finite_samples(self, tmp_path, capsys, quota, mean):
@@ -730,6 +790,20 @@ class TestDeterminismAndRoundTrip:
 
 
 class TestPlotsAndFiles:
+    def test_plots_go_through_cli_emit_plot(self, tmp_path, capsys, monkeypatch):
+        # the handlers look emit_plot up on votepower.cli when they plot, so
+        # a wrapper put there sees every chart
+        import votepower.cli
+
+        calls = []
+        monkeypatch.setattr(votepower.cli, "emit_plot", lambda *args: calls.append(args[1:]))
+        svg = str(tmp_path / "d.svg")
+        code, _, _ = run_cli(
+            ["weight-density", "--n", "3", "--k", "1", "--points", "8", "--plot", svg], capsys
+        )
+        assert code == 0
+        assert calls == [(svg, "ordered-weight density, n=3 k=1")]
+
     def test_density_table_and_plot(self, tmp_path, capsys):
         csv_path = tmp_path / "density.csv"
         svg_path = tmp_path / "density.svg"
@@ -1081,6 +1155,37 @@ class TestClosedFormBytes:
         code, out, _ = run_cli(["coleman-curve", "--n", str(n), "--method", "inversion"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestHelpBytes:
+    """``--help`` and every subcommand's ``--help`` at 80 columns: exit
+    code 0, nothing on stderr, and stdout pinned by its sha256 digest.
+    argparse's layout differs between Python versions, so the digests
+    hold for the version they were taken on."""
+
+    DIGESTS = {
+        "": "d5772084f94ca259a3456a19cee8c58cd865b93310f2113d627f1932611a2d81",
+        "sample-weights": "ba2cd3d8e9c3b76aec771f3362c5a8eab3b411031e4e3eb6e0b240ab1bb738e2",
+        "expected-weights": "6d5d4d426542012aeb36583db2c8396bb8bcaefa9ca01e54b97f59dc245eb8da",
+        "weight-density": "4e76fcd8dd890583f10caf45b308a913c5aa2bc4ec949bb8a4d3b909ef381390",
+        "moments": "6bf71f47667c197391b2f28c2b898305f19c5d8259531444cbf273c28144bff6",
+        "indices": "401de5eb60c0959e6ce153ecab342685f2adadc081e62aaaac6e653df0f9f5c9",
+        "fixed-curve": "207b1be0027791e5fbd982fdeed1ed4cb5ef7d86f12613092a5ac0dba804a947",
+        "power-curve": "1609a0a5c54361b67b94ec1b31ead65b6bb4a7995d2d220bf8ffa16a3fd5c851",
+        "coleman-curve": "a60a622fa30380c5a81f91084c29ac9b94bfb92329e3a3b13a718bdb67c08e24",
+        "classes": "a908c9ed0de063faa8663ef86780fe27bae9ebd8c2cd9767403ec62046d2eb74",
+        "spline-fit": "3c60e3b62fa8bd27bce68af35ff3385bfd2be86373ea56eda58ac785e2448c5e",
+        "analytic": "177a34b6bf2bec39a33f7371471e6e2af2f16c7dfa6a92dc05c56e4f98ad7890",
+    }
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests taken on Python 3.11")
+    def test_help_digests(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        seen = {}
+        for command in self.DIGESTS:
+            code, out, err = run_cli([command, "--help"] if command else ["--help"], capsys)
+            seen[command] = (code, err, hashlib.sha256(out.encode()).hexdigest())
+        assert seen == {command: (0, "", digest) for command, digest in self.DIGESTS.items()}
 
 
 class TestFixedCurveBytes:
