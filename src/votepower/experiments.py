@@ -34,8 +34,9 @@ MC_KERNEL_BUDGET = 18          # vectorized per-sample enumeration cap
 # and ranges give every output bit, so changing it changes the bits.
 _SUM_CELL_BUDGET = 1 << 22
 # Cells a tile of counting holds: per sample its 2^n sums, which become its
-# bin keys, and its histogram entries; or a block of Hoeffding weight rows.
-# It sets only cache residency and memory.
+# bin keys, and its histogram entries; or a block of Hoeffding weight rows;
+# or a slab of index values, some quota levels of a block.  It sets only
+# cache residency and memory.
 _TILE_CELL_BUDGET = 1 << 18
 
 
@@ -96,12 +97,14 @@ class _Accumulator:
         self.low = np.full(shape, np.inf)
         self.high = np.full(shape, -np.inf)
 
-    def add(self, values, axis):
-        """Take in ``values``, which is squared in place."""
-        self.total += values.sum(axis=axis)
-        self.low = np.minimum(self.low, values.min(axis=axis))
-        self.high = np.maximum(self.high, values.max(axis=axis))
-        self.total_sq += np.square(values, out=values).sum(axis=axis)
+    def add(self, values, rows):
+        """Take in one slab: ``values`` holds the rows ``rows`` (a slice of
+        the first axis) with the samples on its last axis, and is squared
+        in place."""
+        self.total[rows] += values.sum(axis=-1)
+        np.minimum(self.low[rows], values.min(axis=-1), out=self.low[rows])
+        np.maximum(self.high[rows], values.max(axis=-1), out=self.high[rows])
+        self.total_sq[rows] += np.square(values, out=values).sum(axis=-1)
 
     def merge(self, other):
         self.total += other.total
@@ -123,45 +126,73 @@ class _Accumulator:
 
 
 def _power_values(weights, grid, statistic, scratch=None):
-    """Per-sample index values over the grid, one array per accumulation
-    block of ``_SUM_CELL_BUDGET >> n`` samples: (grid, n, block) profiles,
-    largest first, or (grid, block) for coleman.
+    """Per-sample index values over the grid, as (rows, values) slabs: rows
+    is a slice of the grid, and values is (levels, n, block) profiles,
+    largest first, or (levels, 1, block) for coleman, for one accumulation
+    block of ``_SUM_CELL_BUDGET >> n`` samples.
 
     A block is counted in tiles, each as many samples as keep its
     coalition sums, bin keys and histogram within ``_TILE_CELL_BUDGET``
     cells; every sample's counts are computed on its own, so the tiling
-    changes no bit.  The weights come sorted descending and swings are
+    changes no bit.  Each tile's winning counts go into the block's integer
+    counts, of the smallest unsigned dtype that holds 2^n - 1 (the empty
+    coalition never wins).  The counts are then turned into values a slab
+    of levels at a time, as many as keep the slab's values within
+    ``_TILE_CELL_BUDGET`` cells, so the slab is reduced while in cache: a
+    slab's counts are copied to float64, which holds them exactly, and
+    ``games._index_values`` writes the values over the member counts (over
+    omega for coleman).  The weights come sorted descending and swings are
     monotone in weight, so profiles normally are already in rank order; a
-    tile with any profile out of order is sorted.  Sorting the values gives
+    slab with any profile out of order is sorted.  Sorting the values gives
     the bits that sorting the swings would, since each profile is divided
     by one positive constant.
 
     With a ``scratch`` (see ``games._scratch_array``) the tile table, the
-    value blocks and the counting arrays are its arrays, reused call after
-    call; a block is then overwritten by the next, so it must be consumed
-    first.
+    counts, the slabs and the counting arrays are its arrays, reused call
+    after call; a slab is then overwritten by the next, so it must be
+    consumed first.
     """
     n = weights.shape[1]
     members = statistic != "coleman"
-    per_column = (1 << n) + (grid.size + 1) * (n if members else 1)
+    series = n if members else 1
+    per_column = (1 << n) + (grid.size + 1) * series
     block = max(1, _SUM_CELL_BUDGET >> n)
     width = min(block, len(weights), max(1, _TILE_CELL_BUDGET // per_column))
     # each tile's sums, then its bin keys
     table = games._scratch_array(scratch, "table", width << n)
-    rows = (grid.size, n) if members else (grid.size,)
+    dtype = np.min_scalar_type((1 << n) - 1)
     for first in range(0, len(weights), block):
         samples = weights[first:first + block]
-        shape = rows + (len(samples),)
-        values = games._scratch_array(scratch, "values", math.prod(shape)).reshape(shape)
+        # per level: omega, then each player's member count
+        shape = (grid.size, 1 + n if members else 1, len(samples))
+        counts = games._scratch_array(scratch, "counts", math.prod(shape), dtype).reshape(shape)
         for start in range(0, len(samples), width):
             tile = samples[start:start + width]
             sums = games._full_sums(tile.T, out=table[:len(tile) << n])
             omega, member = games._winning_counts(sums, grid, members, scratch)
-            out = values[..., start:start + len(tile)]
-            games._index_values(n, statistic, omega, member, out=out)
-            if members and not (out[:, :-1] >= out[:, 1:]).all():
-                out[:] = np.sort(out, axis=1)[:, ::-1]
-        yield values
+            columns = slice(start, start + len(tile))
+            counts[:, 0, columns] = omega
+            if members:
+                counts[:, 1:, columns] = member
+        levels = max(1, _TILE_CELL_BUDGET // (series * len(samples)))
+        for low in range(0, grid.size, levels):
+            rows = slice(low, low + levels)
+            part = counts[rows]
+            slab = games._scratch_array(scratch, "slab", part.size).reshape(part.shape)
+            np.copyto(slab, part)
+            omega = slab[:, 0]
+            if members:
+                values = slab[:, 1:]
+                games._index_values(n, statistic, omega, values, out=values)
+                in_order = games._scratch_array(scratch, "in_order", omega.size, bool)
+                in_order = in_order.reshape(omega.shape)
+                if not all(np.greater_equal(values[:, k], values[:, k + 1], out=in_order).all()
+                           for k in range(n - 1)):
+                    values[:] = np.sort(values, axis=1)[:, ::-1]
+            else:
+                values = slab
+                games._index_values(n, statistic, omega, out=omega)
+            yield rows, values
 
 
 def _mc_counts(n, samples, workers) -> tuple[int, int, int]:
@@ -182,12 +213,12 @@ def _check_kernel_budget(n: int) -> None:
 
 
 def _hoeffding_values(ssq, grid, scratch=None):
-    """The (grid, samples) Hoeffding bounds of a chunk from each sample's
-    sum of squared weights, in one block, which is an array of ``scratch``
-    if one is given."""
+    """The Hoeffding bounds of a chunk from each sample's sum of squared
+    weights, as one (rows, values) slab holding every row: values is
+    (grid, 1, samples), an array of ``scratch`` if one is given."""
     values = games._scratch_array(scratch, "values", grid.size * ssq.size).reshape(grid.size, -1)
     np.divide(-2.0 * (grid[:, None] - 0.5) ** 2, ssq[None, :], out=values)
-    yield np.exp(values, out=values)
+    yield slice(None), np.exp(values, out=values)[:, None]
 
 
 def _run_chunks(worker, samples: int, workers: int):
@@ -219,28 +250,25 @@ def _mc_curves(
 
     ``draw(n, seed, index, count)`` gives a chunk's samples, by default its
     descending-sorted weight vectors, one row per sample, and
-    ``values(samples, grid, scratch=scratch)`` maps them to blocks of
-    values with the samples on the last axis; the axes after the grid give
-    one curve per name.  ``scratch`` is a ``threading.local``, so each
-    worker thread holds its own working arrays from chunk to chunk, and
-    they are freed when the call returns.  The callers have checked n,
-    samples and workers with ``_mc_counts``.
+    ``values(samples, grid, scratch=scratch)`` maps them to (rows, values)
+    slabs: rows is a slice of the grid, and values is (levels, names,
+    samples), one curve per name.  Each chunk's accumulator has the full
+    (grid, names) shape and takes in the slabs as they come.  ``scratch``
+    is a ``threading.local``, so each worker thread holds its own working
+    arrays from chunk to chunk, and they are freed when the call returns.
+    The callers have checked n, samples and workers with ``_mc_counts``.
     """
     grid = as_quota_grid(default_quota_grid() if quotas is None else quotas)
     base = as_seed(seed)
     scratch = threading.local()
 
     def worker(index, count):
-        acc = None
-        for block in values(draw(n, base, index, count), grid, scratch=scratch):
-            if acc is None:
-                acc = _Accumulator(block.shape[:-1])
-            acc.add(block, axis=-1)
+        acc = _Accumulator((grid.size, len(names)))
+        for rows, slab in values(draw(n, base, index, count), grid, scratch=scratch):
+            acc.add(slab, rows)
         return acc
 
     mean, stderr = _run_chunks(worker, samples, workers).finalize(samples)
-    mean = mean.reshape(grid.size, -1)
-    stderr = stderr.reshape(grid.size, -1)
     meta = {"n": n, "seed": base.seed, "stream": base.stream, "method": method}
     counts = np.full(grid.size, samples, dtype=np.int64)
     return [

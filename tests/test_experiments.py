@@ -188,7 +188,8 @@ class TestMonteCarloAtTies:
     every quota is a tie for some coalition, and each estimator must give
     the exact profile of the game it drew, bit for bit."""
 
-    @pytest.mark.parametrize("n,seed", [(6, 2), (6, 5), (10, 3)])
+    # n = 8 and 16 are the last counted in uint8 and in uint16.
+    @pytest.mark.parametrize("n,seed", [(6, 2), (6, 5), (8, 1), (10, 3), (16, 2)])
     def test_one_sample_equals_banzhaf(self, n, seed):
         w = _sorted_weight_chunk(n, seed, 0, 1)[0]
         sums = games._full_sums(w)
@@ -196,8 +197,9 @@ class TestMonteCarloAtTies:
         beta = mc_power_curve(n, grid, samples=1, seed=seed)
         psi = mc_power_curve(n, grid, samples=1, seed=seed, statistic="psi")
         coleman = mc_coleman_curve(n, grid, samples=1, seed=seed)
-        for g, q in enumerate(grid):
-            profile = banzhaf(VotingGame(w, q))
+        # every quota up to n = 10; 512 of the 32768 at n = 16, ends included
+        for g in np.unique(np.linspace(0, grid.size - 1, 512).astype(int)):
+            profile = banzhaf(VotingGame(w, grid[g]))
             assert np.array_equal([c.mean[g] for c in beta], np.sort(profile.beta)[::-1])
             assert np.array_equal([c.mean[g] for c in psi], np.sort(profile.psi)[::-1])
             assert coleman.mean[g] == profile.coleman
@@ -275,6 +277,17 @@ PINNED_DIGESTS = {
 }
 
 
+def _assembled_values(weights, grid, statistic):
+    """The one reduction block of values that ``_power_values`` yields for
+    at most a block of samples, assembled from its slabs, which must cover
+    every quota level exactly once."""
+    slabs = [(rows, values.copy()) for rows, values in
+             experiments._power_values(weights, grid, statistic)]
+    levels = np.arange(grid.size)
+    assert np.array_equal(np.concatenate([levels[rows] for rows, _ in slabs]), levels)
+    return np.concatenate([values for _, values in slabs])
+
+
 def _spy_tile_widths(monkeypatch):
     """Record the sample count of every table the counting core sees."""
     widths = []
@@ -318,10 +331,10 @@ class TestTiledCounting:
         # Ascending weights give ascending swings, so every tile is sorted.
         n, grid = 6, default_quota_grid()
         weights = np.ascontiguousarray(_sorted_weight_chunk(n, 9, 0, 50)[:, ::-1])
-        (wide,) = experiments._power_values(weights, grid, statistic)
+        wide = _assembled_values(weights, grid, statistic)
         monkeypatch.setattr(experiments, "_TILE_CELL_BUDGET", 1)
         widths = _spy_tile_widths(monkeypatch)
-        (narrow,) = experiments._power_values(weights, grid, statistic)
+        narrow = _assembled_values(weights, grid, statistic)
         assert widths == [1] * 50
         assert np.array_equal(narrow, wide)
         assert np.all(narrow[:, :-1] >= narrow[:, 1:])
@@ -340,12 +353,17 @@ def _traced_peak(run):
 
 
 class TestMonteCarloMemory:
-    """A worker holds one reduction block of values and one tile of counting
-    scratch, not a block's full sum, key and histogram tables."""
+    """A worker holds one reduction block of integer counts, one slab of
+    values and one tile of counting scratch: not a block's full sum, key
+    and histogram tables, nor a block of float values."""
 
     def test_power_curve_n10_two_workers(self):
         peak = _traced_peak(lambda: mc_power_curve(10, samples=8192, workers=2))
-        assert peak <= 96 * 2 ** 20
+        assert peak <= 48 * 2 ** 20
+
+    def test_power_curve_n6(self):
+        peak = _traced_peak(lambda: mc_power_curve(6, samples=65536))
+        assert peak <= 16 * 2 ** 20
 
     def test_coleman_curve_n12_two_workers(self):
         peak = _traced_peak(lambda: mc_coleman_curve(12, samples=8192, workers=2))
@@ -385,9 +403,7 @@ class TestRankOrder:
         # Ascending weights give ascending profiles, so the block is sorted.
         n, grid = 6, default_quota_grid()
         weights = np.ascontiguousarray(_sorted_weight_chunk(n, 9, 0, 50)[:, ::-1])
-        blocks = list(experiments._power_values(weights, grid, statistic))
-        assert len(blocks) == 1
-        values = blocks[0]
+        values = _assembled_values(weights, grid, statistic)
         assert np.all(values[:, :-1] >= values[:, 1:])
         for j in (0, 17, 49):
             for g in (0, 40, 99):
