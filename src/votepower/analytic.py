@@ -41,7 +41,7 @@ from .errors import (
     ConvergenceFailureError,
     InvalidArgumentsError,
 )
-from .simplex import as_count, as_player_count, as_quota
+from .simplex import as_player_count, as_quota, as_rank
 
 # --------------------------------------------------------------------------
 # small exact-polynomial helpers (coefficients ascending, Fraction-valued)
@@ -142,9 +142,7 @@ class ClassTable:
 
     def expected_beta_curve(self, rank: int) -> PiecewisePolynomialCurve:
         """E[beta_rank](q) as an exact piecewise polynomial."""
-        if as_count(rank, "rank") > self.n:
-            raise InvalidArgumentsError(f"rank must lie in 1..{self.n}")
-        return self._expected_beta_curves[rank - 1]
+        return self._expected_beta_curves[as_rank(rank, self.n) - 1]
 
     @functools.cached_property
     def _expected_beta_curves(self) -> tuple[PiecewisePolynomialCurve, ...]:

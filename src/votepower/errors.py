@@ -15,8 +15,9 @@ class InvalidDimensionError(InvalidArgumentsError):
     ``InvalidArgumentsError`` catches it too."""
 
 
-class InvalidRankError(VotePowerError, ValueError):
-    """Order-statistic rank k is not an integer in 1..n."""
+class InvalidRankError(InvalidArgumentsError):
+    """Order-statistic rank k is not an integer in 1..n.  A kind of invalid
+    argument, as ``InvalidDimensionError`` is."""
 
 
 class DegenerateDistributionError(VotePowerError):

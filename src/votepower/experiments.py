@@ -134,9 +134,13 @@ def _power_values(weights, grid, statistic, scratch=None):
     A block is counted in tiles, each as many samples as keep its
     coalition sums, bin keys and histogram within ``_TILE_CELL_BUDGET``
     cells; every sample's counts are computed on its own, so the tiling
-    changes no bit.  Each tile's winning counts go into the block's integer
-    counts, of the smallest unsigned dtype that holds 2^n - 1 (the empty
-    coalition never wins).  The counts are then turned into values a slab
+    changes no bit.  Each tile's per-level histograms
+    (``games._level_histograms``) go into its columns of the block's
+    integer counts, of the smallest unsigned dtype that holds 2^n - 1 (the
+    empty coalition never wins), and once the block is filled one suffix
+    pass over the levels, from the top down, turns them into winning
+    counts.  Block rows hold (1 + n) x block cells, so a row loop is the
+    cheap way to take it.  The counts are then turned into values a slab
     of levels at a time, as many as keep the slab's values within
     ``_TILE_CELL_BUDGET`` cells, so the slab is reduced while in cache: a
     slab's counts are copied to float64, which holds them exactly, and
@@ -169,11 +173,9 @@ def _power_values(weights, grid, statistic, scratch=None):
         for start in range(0, len(samples), width):
             tile = samples[start:start + width]
             sums = games._full_sums(tile.T, out=table[:len(tile) << n])
-            omega, member = games._winning_counts(sums, grid, members, scratch)
-            columns = slice(start, start + len(tile))
-            counts[:, 0, columns] = omega
-            if members:
-                counts[:, 1:, columns] = member
+            games._level_histograms(sums, grid, counts[:, :, start:start + len(tile)], scratch)
+        for g in range(grid.size - 2, -1, -1):
+            counts[g] += counts[g + 1]
         levels = max(1, _TILE_CELL_BUDGET // (series * len(samples)))
         for low in range(0, grid.size, levels):
             rows = slice(low, low + levels)

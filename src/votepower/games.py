@@ -489,54 +489,37 @@ def _bin_keys(sums: np.ndarray, levels: np.ndarray, out: np.ndarray | None = Non
     return keys.reshape(rows, cols)
 
 
-def _winning_counts(sums: np.ndarray, levels: np.ndarray, members: bool = True,
-                    scratch=None):
-    """Winning-coalition counts at every level of a strictly increasing grid,
-    for each game (column) of a ``_full_sums`` table.
+def _level_histograms(sums: np.ndarray, levels: np.ndarray, out: np.ndarray, scratch=None):
+    """Per-level coalition histograms of each game (column) of a
+    ``_full_sums`` table against a strictly increasing grid, written into
+    ``out`` of shape (levels, series, games).
 
     A coalition wins at level g exactly when g is below its bin, the count
     of levels at or below its sum, which ``_bin_keys`` finds by an exact
-    table lookup on cells of width 2^-k.  So one binning, one bincount per
-    game (and per player over that player's masks) and suffix sums over the
-    bins give every count at once.  Returns int64 ``omega`` of shape
-    (levels, *games) and, if ``members``, ``member`` of shape
-    (levels, n, *games).  The table is overwritten by its bin keys.  A
-    ``scratch`` (see ``_scratch_array``) lends the working arrays, and the
-    member counts are then a view of its array.
+    table lookup on cells of width 2^-k.  Row g of ``out`` counts the
+    coalitions whose highest winning level is g: series 0 all of them and
+    series 1 + i those holding player i, one bincount per series over
+    every game at once.  Suffix sums over the rows, from the top level
+    down, turn them into winning counts; that is left to the caller.
+    ``out`` is written through views, so it may be a column slice of a
+    larger array, of any integer dtype that holds 2^n - 1.  The table is
+    overwritten by its bin keys.  A ``scratch`` (see ``_scratch_array``)
+    lends the working arrays.
     """
-    rows, columns = sums.shape[0], sums.shape[1:]
-    n = rows.bit_length() - 1
-    cols = math.prod(columns)
+    rows = sums.shape[0]
+    series, cols = out.shape[1:]
     # key = bin * cols + column: one bincount covers every game's bins
     table = sums.reshape(rows, cols)
     keys = _bin_keys(table, levels, out=table.view(np.int64), scratch=scratch)
     bins = levels.size + 1
-
-    def histogram(selected):
-        return np.bincount(selected.ravel(), minlength=bins * cols).reshape(bins, cols)
-
-    def wins_above(hist):
-        # Suffix sums in place: row b becomes the count of bins >= b, so
-        # row g of hist[1:] counts the coalitions that win at level g.
-        # cumsum pays per column and a row loop per row: take the cheaper.
-        if hist[0].size < bins:
-            np.cumsum(hist[::-1], axis=0, out=hist[::-1])
-        else:
-            for b in range(bins - 2, 0, -1):
-                hist[b] += hist[b + 1]
-        return hist[1:]
-
-    omega = wins_above(histogram(keys)).reshape((levels.size,) + columns)
-    if not members:
-        return omega, None
-    hist = _scratch_array(scratch, "hist", bins * n * cols, np.int64).reshape(bins, n, cols)
-    # one player's masks
-    member_keys = _scratch_array(scratch, "member_keys", rows // 2 * cols, np.int64)
-    for i in range(n):
-        selected = keys.reshape(-1, 2, cols << i)[:, 1]
-        np.copyto(member_keys.reshape(selected.shape), selected)
-        hist[:, i] = histogram(member_keys)
-    return omega, wins_above(hist).reshape((levels.size, n) + columns)
+    for s in range(series):
+        selected = keys
+        if s:  # player s - 1's masks, copied to be contiguous
+            player = keys.reshape(-1, 2, cols << (s - 1))[:, 1]
+            selected = _scratch_array(scratch, "member_keys", player.size, np.int64)
+            np.copyto(selected.reshape(player.shape), player)
+        hist = np.bincount(selected.ravel(), minlength=bins * cols).reshape(bins, cols)
+        out[:, s] = hist[1:]  # bin 0: wins at no level
 
 
 def fixed_weight_quota_curve(weights, statistic: str = "beta") -> StepCurve:
@@ -557,8 +540,10 @@ def fixed_weight_quota_curve(weights, statistic: str = "beta") -> StepCurve:
     # np.unique imports numpy.ma on numpy 2.
     breakpoints = np.sort(sums[(sums > 0.5) & (sums <= 1.0)])
     breakpoints = breakpoints[np.append(True, breakpoints[1:] != breakpoints[:-1])]
-    omega, member = _winning_counts(sums, breakpoints, members=statistic != "coleman")
-    values = _index_values(n, statistic, omega, member)
+    counts = np.empty((breakpoints.size, 1 if statistic == "coleman" else 1 + n), np.int64)
+    _level_histograms(sums, breakpoints, counts[:, :, None])
+    np.cumsum(counts[::-1], axis=0, out=counts[::-1])
+    values = _index_values(n, statistic, counts[:, 0], counts[:, 1:])
     values.setflags(write=False)
     breakpoints.setflags(write=False)
     return StepCurve(breakpoints=breakpoints, values=values, statistic=statistic)

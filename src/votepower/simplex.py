@@ -5,8 +5,9 @@ Every result is a function of a player count n and a quota q, and this
 module alone decides what those may be.  ``as_player_count`` takes an
 integer n >= 1, not a bool, and returns a Python int, so arithmetic on n
 stays exact; ``as_count`` checks the other counts (samples, workers,
-budgets) the same way.  ``as_quota`` and ``as_quota_grid`` take quotas in
-(1/2, 1], a grid strictly increasing.
+budgets) the same way, and ``as_rank`` a rank k in 1..n.  ``as_quota``
+and ``as_quota_grid`` take quotas in (1/2, 1], a grid strictly
+increasing.
 
 Weight vectors are plain float64 numpy arrays with non-negative entries
 summing to one.  Sampling uses the classic construction (normalize n
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentsError, InvalidDimensionError
+from .errors import InvalidArgumentsError, InvalidDimensionError, InvalidRankError
 
 SUM_TOLERANCE = 1e-12
 
@@ -93,6 +94,14 @@ def as_player_count(n) -> int:
     """``n`` as a Python int player count of at least 1.  A numpy integer
     becomes a Python int, so binomial weights and 2^n stay exact."""
     return as_count(n, "player count", error=InvalidDimensionError)
+
+
+def as_rank(k, n: int) -> int:
+    """``k`` as a Python int order-statistic rank, checked to be an integer
+    in 1..n."""
+    if as_count(k, "rank k", error=InvalidRankError) > n:
+        raise InvalidRankError(f"rank k must be at most {n}, got {k!r}")
+    return int(k)
 
 
 def as_quota(q) -> float:

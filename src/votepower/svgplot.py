@@ -11,6 +11,7 @@ from .errors import InvalidArgumentsError
 
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 20, 60
+_XLABEL, _YLABEL = "q", "value"
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -27,7 +28,7 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def emit_plot(series, path: str, caption: str, xlabel: str = "q", ylabel: str = "value"):
+def emit_plot(series, path: str, caption: str):
     """Write a line chart of ``series`` (name, x array, y array) to ``path``.
 
     Raises if there is nothing to draw; a single point degenerates to a
@@ -115,12 +116,12 @@ def emit_plot(series, path: str, caption: str, xlabel: str = "q", ylabel: str = 
         )
     lines.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 28}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>'
+        f'text-anchor="middle" font-family="sans-serif">{_XLABEL}</text>'
     )
     lines.append(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.2f}" font-size="12" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{_YLABEL}</text>'
     )
     lines.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 10}" font-size="11" '

@@ -29,9 +29,8 @@ from .errors import (
     AccuracyUnsupportedError,
     DegenerateDistributionError,
     InvalidArgumentsError,
-    InvalidRankError,
 )
-from .simplex import as_count, as_player_count
+from .simplex import as_count, as_player_count, as_rank
 
 DENSITY_N_MAX = 64
 
@@ -39,8 +38,7 @@ DENSITY_N_MAX = 64
 def _check_rank(n: int, k: int) -> int:
     """The player count n as an int, once n and the rank k are checked."""
     n = as_player_count(n)
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise InvalidRankError(f"rank k={k!r} is not an integer in 1..{n}")
+    as_rank(k, n)
     return n
 
 

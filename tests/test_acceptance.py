@@ -113,7 +113,7 @@ def test_c04_moments():
 
 def test_c05_index_kernels():
     with criterion(5, "meet-in-the-middle equals enumeration on 1000 games x 99 quotas"):
-        from votepower.games import _full_sums, _winning_counts
+        from votepower.games import _full_sums, _level_histograms
 
         profile = vp.banzhaf(vp.VotingGame(np.array([0.5, 0.3, 0.2]), 0.55))
         assert profile.beta.tolist() == [0.6, 0.2, 0.2]
@@ -123,7 +123,10 @@ def test_c05_index_kernels():
             n = int(rng.integers(1, 17))
             w = vp.sample_uniform_simplex(n, vp.RandomSeed(7000, trial))
             game = vp.VotingGame(w, 1.0)
-            omega_naive, member_naive = _winning_counts(_full_sums(game.weights), quotas)
+            counts = np.empty((quotas.size, 1 + n), dtype=np.int64)
+            _level_histograms(_full_sums(game.weights), quotas, counts[:, :, None])
+            np.cumsum(counts[::-1], axis=0, out=counts[::-1])
+            omega_naive, member_naive = counts[:, 0], counts[:, 1:]
             for j, q in enumerate(quotas):
                 omega_mitm, member_mitm = vp.count_winning_mitm(vp.VotingGame(w, q))
                 assert omega_mitm == omega_naive[j]

@@ -69,6 +69,15 @@ class TestClassTable:
         assert (Fraction(3, 5), Fraction(1, 5), Fraction(1, 5)) in vectors
         assert (Fraction(1), Fraction(0), Fraction(0)) in vectors
 
+    @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(1, 2) - Fraction(1, 10 ** 9),
+                                   Fraction(1) + Fraction(1, 10 ** 9)])
+    def test_piece_outside_the_domain(self, q):
+        curve = expected_beta_n3_curve(1)
+        with pytest.raises(InvalidArgumentsError, match="domain"):
+            curve.piece(q)
+        assert curve.piece(Fraction(1, 2)) == curve.pieces[0]
+        assert curve.piece(Fraction(1)) == curve.pieces[-1]
+
     def test_dictator_probability_value(self):
         probs = class_table_n3().probabilities(0.51)
         assert probs["E"] == pytest.approx(0.7203, abs=1e-12)
@@ -325,6 +334,12 @@ class TestExpectedColeman:
 class TestExpectedColemanNormal:
     def test_half_quota_is_exact_half(self):
         assert expected_coleman_normal(9, 0.5) == 0.5
+
+    @pytest.mark.parametrize("q", [math.nextafter(0.5, 0.0), math.nextafter(1.0, 2.0), math.nan])
+    def test_outside_the_closed_interval(self, q):
+        with pytest.raises(InvalidArgumentsError, match=r"\[1/2, 1\]"):
+            expected_coleman_normal(9, q)
+        assert expected_coleman_normal(9, 1.0) < expected_coleman_normal(9, 0.75)
 
     def test_against_scipy(self):
         assert expected_coleman_normal(12, 0.6) == pytest.approx(

@@ -131,6 +131,17 @@ class TestUsageErrors:
         assert code == 0
         assert run_cli(["analytic", "--what", what, "--n", n], capsys) == (0, implicit, "")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["indices", "--weights-int", "5,3,2"], "--weights-int requires --quota-frac"),
+         (["indices", "--weights", "0.5,0.3,0.2"], "a quota is required")],
+        ids=["weights-int-without-quota-frac", "indices-without-quota"],
+    )
+    def test_game_without_a_quota(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+
     @pytest.mark.parametrize("fraction", ["1/0", "0/0", "2/00"])
     def test_quota_fraction_with_zero_denominator(self, capsys, fraction):
         code, out, err = run_cli(
@@ -217,6 +228,20 @@ class TestIndices:
         )
         assert code == 0
         assert json.loads(out)["beta"] == [0.6, 0.2, 0.2]
+
+    def test_csv_format(self, capsys):
+        code, out, _ = run_cli(
+            ["indices", "--weights", "0.5,0.3,0.2", "--quota", "0.55", "--format", "csv"], capsys
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "player,psi,beta,member-count"
+        profile = votepower.banzhaf(votepower.VotingGame(np.array([0.5, 0.3, 0.2]), 0.55))
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == [1, 2, 3]
+        assert [float(r[1]) for r in rows] == profile.psi.tolist()
+        assert [float(r[2]) for r in rows] == profile.beta.tolist()
+        assert [int(r[3]) for r in rows] == profile.member_counts.tolist()
 
     def test_dummy_reporting(self, capsys):
         _, out, _ = run_cli(
@@ -664,6 +689,31 @@ class TestDeterminismAndRoundTrip:
         assert fits[0][0] == 0
         assert fits[1] == fits[0]
 
+    def test_spline_fit_unknown_series(self, tmp_path, capsys):
+        curve_path = tmp_path / "beta2.csv"
+        code, _, _ = run_cli(
+            ["analytic", "--what", "beta-n2", "--output", str(curve_path)], capsys
+        )
+        assert code == 0
+        code, out, err = run_cli(
+            ["spline-fit", "--input", str(curve_path), "--series", "beta_rank_3",
+             "--max-degree", "1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "series 'beta_rank_3' not found" in err
+
+    def test_spline_fit_rejects_a_table_that_is_no_curve(self, tmp_path, capsys):
+        table_path = tmp_path / "weights.csv"
+        code, _, _ = run_cli(["expected-weights", "--n", "3", "--output", str(table_path)],
+                             capsys)
+        assert code == 0
+        code, out, err = run_cli(
+            ["spline-fit", "--input", str(table_path), "--max-degree", "1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "is not a curve CSV" in err
+
     @pytest.mark.parametrize("text", ["[1, 2]", '[{"quota": 0.6}]', "[{"])
     def test_spline_fit_rejects_other_json(self, tmp_path, capsys, text):
         curve_path = tmp_path / "curve.json"
@@ -838,6 +888,14 @@ class TestPlotsAndFiles:
         first = lines[1].split(",")
         assert float(first[0]) == 0.7 and first[1] == "beta_player_1"
         assert float(first[2]) == 0.6
+
+    def test_fixed_curve_reads_a_weights_file(self, tmp_path, capsys):
+        weights_path = tmp_path / "w.csv"
+        weights_path.write_text("5,3,2\n")
+        argv = ["fixed-curve", "--functional", "psi"]
+        from_file = run_cli([*argv, "--weights-csv", str(weights_path)], capsys)
+        assert from_file[0] == 0
+        assert from_file == run_cli([*argv, "--weights", "0.5,0.3,0.2"], capsys)
 
     @pytest.mark.parametrize(
         "weights, functional",

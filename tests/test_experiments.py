@@ -63,6 +63,11 @@ class TestQuotaGrid:
 
 
 class TestPowerCurve:
+    @pytest.mark.parametrize("statistic", ["coleman", "hoeffding", "Beta"])
+    def test_unknown_statistic(self, statistic):
+        with pytest.raises(InvalidArgumentsError, match="unknown statistic"):
+            mc_power_curve(3, [0.6], samples=8, statistic=statistic)
+
     def test_two_player_line(self):
         curves = mc_power_curve(2, quotas=[0.75], samples=2 ** 16, seed=12)
         expected = expected_beta_n2(0.75)
@@ -230,14 +235,14 @@ def _digest(curves):
     return h.hexdigest()
 
 
-def _mc_digest(n, samples, statistic, workers):
+def _mc_digest(n, samples, statistic, workers, quotas=None):
     if statistic == "coleman":
-        curves = [mc_coleman_curve(n, samples=samples, seed=23, workers=workers)]
+        curves = [mc_coleman_curve(n, quotas, samples=samples, seed=23, workers=workers)]
     elif statistic == "hoeffding":
-        curves = [mc_hoeffding_curve(n, samples=samples, seed=23, workers=workers)]
+        curves = [mc_hoeffding_curve(n, quotas, samples=samples, seed=23, workers=workers)]
     else:
         curves = mc_power_curve(
-            n, samples=samples, seed=23, statistic=statistic, workers=workers
+            n, quotas, samples=samples, seed=23, statistic=statistic, workers=workers
         )
     return _digest(curves)
 
@@ -277,6 +282,54 @@ PINNED_DIGESTS = {
 }
 
 
+# The same digests on two grids that the default one does not reach: 1000
+# levels, where a tile is a few samples wide and a block row is long, and
+# levels 2^-20 apart, up to 16 in one binning cell.  Computed with the
+# per-tile suffix sums that the counting core used to take.
+QUOTA_GRIDS = {
+    "wide": np.linspace(0.5005, 1, 1000),
+    "dense": 0.6 + np.arange(50) * 2.0 ** -20,
+}
+GRID_DIGESTS = {
+    (6, 4103, "beta", "wide"):
+        "26815857db1a1bd48df94b1a0d04da51d11537214dd5bc41c62b9a5ca49005b0",
+    (6, 4103, "psi", "wide"):
+        "0c6232547d593bba8ec6531375516b1610b093edac8ec2702a6912e586de61e6",
+    (6, 4103, "coleman", "wide"):
+        "fcecc87618fbb112faa6f94e9c91b1eda18765a8472a72318fdb0a3dbbb28abb",
+    (6, 4103, "beta", "dense"):
+        "1e5bea7a18dc28805f2a941f7437b97ff89edf959c811b76020d8039b94b8a1d",
+    (6, 4103, "psi", "dense"):
+        "227c6c5ccfe19844580d0f404c9b537d5efaeaabc5647d6114b0749445e0f700",
+    (6, 4103, "coleman", "dense"):
+        "134de858b65169ceca36848d55314667734ac6926412ab87b2c77f0af16e26ec",
+    (10, 300, "beta", "wide"):
+        "d9af8217d0333f02ec95854922ba117de42b0dc54cad162484858aa6fa812b25",
+    (10, 300, "psi", "wide"):
+        "60a5e598950fa771c1718422d3a31965a12ba7b2c5d7a64daa0c04393939141a",
+    (10, 300, "coleman", "wide"):
+        "f593157744892c738e811d431d18a94ac807981e88e526cce06b6fbbf772d35e",
+    (10, 300, "beta", "dense"):
+        "1a3a5b6cc6bf0659bb46877418790e5fc8bd2caedb4325670ed1ea8efd343be8",
+    (10, 300, "psi", "dense"):
+        "8793d6eba8a15390e1e7410b66d21940c5c4405a25a4f15c9d948ea7739b9f53",
+    (10, 300, "coleman", "dense"):
+        "2f92bb40db7c2256bfc8e0dfb4e3f50db030cca38624f156de49c6077a97d25a",
+    (14, 40, "beta", "wide"):
+        "28f7a6704ac533d75eef6bb8b24e03733d4abddc049ad2e75f70f73b23afc48a",
+    (14, 40, "psi", "wide"):
+        "9ba063cf34b7cab75b125e32fd753576b40f0c53884c5d7c6401c136f53a7685",
+    (14, 40, "coleman", "wide"):
+        "90ef04500d11798e1c654abfba5ce2bd6319698c53b5fb5eab326a38b0870d4b",
+    (14, 40, "beta", "dense"):
+        "7d944eca4f9c6b14fcdb9a5b1268c73334eff7bc54ee09663385140b6177ff75",
+    (14, 40, "psi", "dense"):
+        "5f9dfbe1eaae4a11dff03ae962658266323992dbaa627e3957e20cb3796a0b5e",
+    (14, 40, "coleman", "dense"):
+        "790dc05d7d88775a882d2cc9eb4f8391c4d2a790802fc258a9356271b803afd5",
+}
+
+
 def _assembled_values(weights, grid, statistic):
     """The one reduction block of values that ``_power_values`` yields for
     at most a block of samples, assembled from its slabs, which must cover
@@ -291,13 +344,13 @@ def _assembled_values(weights, grid, statistic):
 def _spy_tile_widths(monkeypatch):
     """Record the sample count of every table the counting core sees."""
     widths = []
-    count = games._winning_counts
+    count = games._level_histograms
 
     def spy(sums, levels, *args, **kwargs):
         widths.append(sums.shape[1])
         return count(sums, levels, *args, **kwargs)
 
-    monkeypatch.setattr(games, "_winning_counts", spy)
+    monkeypatch.setattr(games, "_level_histograms", spy)
     return widths
 
 
@@ -310,6 +363,13 @@ class TestTiledCounting:
     @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS), ids=str)
     def test_pinned_digests(self, key, workers):
         assert _mc_digest(*key, workers) == PINNED_DIGESTS[key]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("key", sorted(GRID_DIGESTS), ids=str)
+    def test_grid_digests(self, key, workers):
+        n, samples, statistic, grid = key
+        digest = _mc_digest(n, samples, statistic, workers, QUOTA_GRIDS[grid])
+        assert digest == GRID_DIGESTS[key]
 
     @pytest.mark.parametrize(
         "key,width",
@@ -673,6 +733,25 @@ class TestFitSpline:
                 max_degree=2,
                 breakpoints=[0.52],
             )
+
+    @pytest.mark.parametrize(
+        "quotas, values", [([0.6, 0.7, 0.8], [1.0, 2.0]), ([], [])], ids=["unequal", "empty"]
+    )
+    def test_samples_must_pair_up(self, quotas, values):
+        with pytest.raises(InvalidArgumentsError, match="equal-length"):
+            fit_spline(quotas, values, max_degree=0)
+
+    def test_grid_must_increase(self):
+        q = np.linspace(0.51, 0.99, 20)
+        q[[4, 5]] = q[[5, 4]]
+        with pytest.raises(InvalidArgumentsError, match="increasing"):
+            fit_spline(q, 1.5 - q, max_degree=1)
+
+    @pytest.mark.parametrize("knot", [0.51, 0.99, 0.4, 1.2])
+    def test_breakpoints_must_lie_inside_the_range(self, knot):
+        q = np.linspace(0.51, 0.99, 20)
+        with pytest.raises(InvalidArgumentsError, match="inside"):
+            fit_spline(q, 1.5 - q, max_degree=1, breakpoints=[0.75, knot])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["quotas", "values"])

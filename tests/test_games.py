@@ -76,6 +76,13 @@ class TestVotingGame:
                 np.array([0.5, 0.5]), quota, int_weights=int_weights, quota_fraction=quota_fraction
             )
 
+    @pytest.mark.parametrize(
+        "fields", [{"int_weights": (1, 1)}, {"quota_fraction": (3, 5)}], ids=["ints", "fraction"]
+    )
+    def test_exact_mode_needs_both_fields(self, fields):
+        with pytest.raises(InvalidArgumentsError, match="both"):
+            VotingGame(np.array([0.5, 0.5]), 0.6, **fields)
+
 
 class TestIsWinning:
     def test_dictator(self):
@@ -420,6 +427,11 @@ class TestQuotaCurve:
         for q in (0.51, 0.75, 1.0):
             assert curve.value_at(q).tolist() == [1.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("statistic", ["hoeffding", "Beta", ""])
+    def test_unknown_statistic(self, statistic):
+        with pytest.raises(InvalidArgumentsError, match="unknown statistic"):
+            fixed_weight_quota_curve([0.5, 0.3, 0.2], statistic)
+
     def test_spec_step_values(self):
         curve = fixed_weight_quota_curve([0.5, 0.3, 0.2], "beta")
         assert curve.breakpoints.tolist() == [0.7, 0.8, 1.0]
@@ -553,6 +565,10 @@ class TestBinning:
 
 
 class TestOptimalQuotaDiagnostic:
+    def test_unknown_variant(self):
+        with pytest.raises(InvalidArgumentsError, match="unknown variant"):
+            optimal_quota_diagnostic([0.5, 0.5], "square")
+
     def test_dictator_both_variants(self):
         assert optimal_quota_diagnostic([1.0, 0.0, 0.0], "sqrt") == 1.0
         assert optimal_quota_diagnostic([1.0, 0.0, 0.0], "printed") == 1.0

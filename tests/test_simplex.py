@@ -16,7 +16,7 @@ from votepower import (
     sample_uniform_simplex,
     sample_uniform_simplex_batch,
 )
-from votepower.simplex import as_player_count, as_quota_grid
+from votepower.simplex import as_player_count, as_quota_grid, as_rank
 
 SUM_TOL = 1e-12
 
@@ -38,6 +38,16 @@ class TestWeightVectorValidation:
     def test_rejects_empty(self):
         with pytest.raises(InvalidDimensionError):
             as_weight_vector([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_rejects_non_finite(self, bad, normalize):
+        with pytest.raises(InvalidArgumentsError, match="finite"):
+            as_weight_vector([0.5, bad, 0.5], normalize=normalize)
+
+    def test_normalize_rejects_a_zero_vector(self):
+        with pytest.raises(InvalidArgumentsError, match="zero"):
+            as_weight_vector([0.0, 0.0], normalize=True)
 
     def test_normalize(self):
         w = as_weight_vector([2, 3, 5], normalize=True)
@@ -215,14 +225,20 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "call",
         [votepower.expected_ordered_weight, votepower.ordered_weight_support,
-         lambda n, k: votepower.ordered_weight_density(n, k, 0.2)],
-        ids=["expected_ordered_weight", "ordered_weight_support", "ordered_weight_density"],
+         lambda n, k: votepower.ordered_weight_density(n, k, 0.2),
+         lambda n, k: votepower.class_table_n3().expected_beta_curve(k)],
+        ids=["expected_ordered_weight", "ordered_weight_support", "ordered_weight_density",
+             "expected_beta_curve"],
     )
     def test_rank_edges(self, call):
         for k in (0, 4, 1.5, True):
             with pytest.raises(InvalidRankError):
                 call(3, k)
         call(3, np.int64(2))
+
+    def test_rank_error_is_an_argument_error(self):
+        assert issubclass(InvalidRankError, InvalidArgumentsError)
+        assert type(as_rank(np.int64(3), 3)) is int
 
     def test_player_count_error_is_an_argument_error(self):
         assert issubclass(InvalidDimensionError, InvalidArgumentsError)
