@@ -61,11 +61,9 @@ _EXPORTS = {
         "VotingGame",
         "banzhaf",
         "count_winning_mitm",
-        "count_winning_naive",
         "dummies",
         "fixed_weight_quota_curve",
         "hoeffding_bound",
-        "is_winning",
         "optimal_quota_diagnostic",
     ),
     "simplex": (
@@ -73,14 +71,12 @@ _EXPORTS = {
         "as_weight_vector",
         "default_quota_grid",
         "renyi_partial_sums",
-        "sample_uniform_simplex",
         "sample_uniform_simplex_batch",
     ),
     "weightdist": (
         "expected_ordered_weight",
         "expected_ordered_weight_exact",
         "expected_ordered_weights",
-        "ordered_weight_breakpoints",
         "ordered_weight_cdf",
         "ordered_weight_density",
         "ordered_weight_support",

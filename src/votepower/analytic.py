@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -434,9 +435,13 @@ def coleman_error_ratio(n: int, y: float) -> float:
     """Ratio of the normal-approximation quota to the exact-curve quota at
     a target expected Coleman value y.
 
-    The numerator solves the normal approximation in closed form via the
-    inverse normal CDF; the denominator inverts the exact mixture curve
-    by bracketed root finding (the curve is strictly decreasing in q).
+    The numerator solves the normal approximation in closed form,
+    1/2 - Phi^-1(y) / sqrt(2 (n+1)), from y itself, so a small target
+    keeps its digits.  The denominator inverts the exact mixture curve,
+    which is strictly decreasing in q, by bisection on
+    [1/2 + 1e-9, 1 - 1e-9] down to adjacent floats.  The curve never goes
+    below 2^-n, its value at q = 1, so a target at or below its value at
+    1 - 1e-9 raises ConvergenceFailureError.
     """
     n = as_player_count(n)
     y = float(y)
@@ -444,22 +449,20 @@ def coleman_error_ratio(n: int, y: float) -> float:
         raise InvalidArgumentsError("target value outside [2^-2n, 1/2]")
     if y == 0.5:
         return 1.0
-    # Imported here: scipy dominates the package's import time.
-    from scipy.optimize import brentq
-    from scipy.special import ndtri
-
-    q_normal = 0.5 + float(ndtri(1.0 - y)) / math.sqrt(2.0 * (n + 1))
-
-    def objective(q: float) -> float:
-        return expected_coleman(n, q) - y
-
     lo, hi = 0.5 + 1e-9, 1.0 - 1e-9
-    f_hi = objective(hi)
+    f_hi = expected_coleman(n, hi) - y
     if f_hi >= 0.0:
         raise ConvergenceFailureError(
             f"target {y!r} is below the exact curve's infimum near q = 1; "
             "no quota brackets it",
             estimates=(f_hi + y, y),
         )
-    q_exact = brentq(objective, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return q_normal / q_exact
+    q_normal = 0.5 - statistics.NormalDist().inv_cdf(y) / math.sqrt(2.0 * (n + 1))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return q_normal / mid
+        if expected_coleman(n, mid) > y:
+            lo = mid
+        else:
+            hi = mid

@@ -12,12 +12,14 @@ weight is pinned to exactly 1.0, which the weight-vector invariant
 licenses (entries sum to 1 up to 1e-12) and which makes q = 1 behave like
 the real game: the grand coalition always wins.  Every kernel takes its
 coalition weights from here, the Monte Carlo estimators and class
-discovery included, so the meet-in-the-middle counter reproduces full
-enumeration bit for bit, ties included, and a sampled game's Monte Carlo
-profile equals its exact one.  Full enumeration sums and compares every
-coalition, one block of B masks against all A masks at a time.  Likewise
-every kernel turns winning counts into psi, beta and Coleman values with
-one helper, ``_index_values``.
+discovery included, so a sampled game's Monte Carlo profile equals its
+exact one, ties included.  A fixed game's counts come from the
+meet-in-the-middle counter at every n; the quota curve and the Monte Carlo
+estimators bin the full table of 2^n sums against a grid of levels.  The
+test suite's enumeration oracle compares every coalition on the same
+arithmetic, so the counters must match it bit for bit.  Likewise every
+kernel turns winning counts into psi, beta and Coleman values with one
+helper, ``_index_values``.
 
 For inputs where float ties at the quota are a real concern, build the
 game from integer weights and a rational quota num/den
@@ -36,7 +38,6 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidArgumentsError
 from .simplex import as_quota, as_weight_vector
 
-NAIVE_BUDGET = 30      # full 2^n enumeration
 MITM_BUDGET = 48       # meet in the middle, 2^(n/2) memory
 CURVE_BUDGET = 20      # quota curves keep n counts per breakpoint, up to 2^(n-1)
 
@@ -46,7 +47,7 @@ CURVE_BUDGET = 20      # quota curves keep n counts per breakpoint, up to 2^(n-1
 _TIE_WINDOW = 32 * np.finfo(np.float64).eps
 
 _BIN_CELL_BITS = 16    # finest binning cell, 2^-16 wide
-_BIN_BLOCK = 1 << 15   # sums binned (or compared) per pass
+_BIN_BLOCK = 1 << 15   # sums binned per pass
 
 
 def _exact_floats(ints: tuple[int, ...], num: int, den: int):
@@ -132,11 +133,6 @@ class PowerProfile:
     member_counts: np.ndarray
 
 
-def _half_sizes(n: int) -> tuple[int, int]:
-    h = (n + 1) // 2
-    return h, n - h
-
-
 def _accumulated_sums(values: np.ndarray) -> np.ndarray:
     """Subset sums of one half, index bit i <-> element i, added in index
     order.  Axes after the first carry independent games."""
@@ -160,7 +156,7 @@ def _kernel_inputs(game: VotingGame):
 
 def _split_sums(weights: np.ndarray):
     """(A sums, B sums) in the canonical split of the first (player) axis."""
-    h, _ = _half_sizes(len(weights))
+    h = (len(weights) + 1) // 2
     return _accumulated_sums(weights[:h]), _accumulated_sums(weights[h:])
 
 
@@ -176,49 +172,6 @@ def _full_sums(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     if sums.dtype.kind == "f":
         sums[-1] = 1.0
     return sums
-
-
-def is_winning(game: VotingGame, coalition: int) -> bool:
-    """Does the coalition (an n-bit member mask) reach the quota?"""
-    n = game.n
-    if not (0 <= coalition < (1 << n)):
-        raise InvalidArgumentsError("coalition mask has bits beyond the player count")
-    if coalition == (1 << n) - 1:
-        return True
-    weights, threshold = _kernel_inputs(game)
-    h, _ = _half_sizes(n)
-    part_a = sum(weights[i] for i in range(h) if coalition >> i & 1)
-    part_b = sum(weights[i] for i in range(h, n) if coalition >> i & 1)
-    return bool(part_a + part_b >= threshold)
-
-
-def count_winning_naive(game: VotingGame) -> tuple[int, np.ndarray]:
-    """Count winning coalitions, and per player those containing them,
-    by enumerating all 2^n coalitions.  n <= 30.
-
-    Each block of B masks is added to every A sum and compared with the
-    threshold; the wins are counted per A mask and per B mask, and each
-    player's count is the sum over the masks of its half with its bit set.
-    """
-    n = game.n
-    if n > NAIVE_BUDGET:
-        raise BudgetExceededError(
-            f"naive enumeration supports n <= {NAIVE_BUDGET}; "
-            "use count_winning_mitm for larger games"
-        )
-    weights, threshold = _kernel_inputs(game)
-    sa, sb = _split_sums(weights)
-    per_a = np.zeros(sa.size, dtype=np.int64)
-    per_b = np.empty(sb.size, dtype=np.int64)
-    span = max(1, _BIN_BLOCK // sa.size)
-    for start in range(0, sb.size, span):
-        win = sb[start:start + span, None] + sa >= threshold
-        if start + span >= sb.size:
-            win[-1, -1] = True  # the grand coalition
-        per_a += np.count_nonzero(win, axis=0)
-        per_b[start:start + span] = np.count_nonzero(win, axis=1)
-    member = np.concatenate([_member_sums(per_a), _member_sums(per_b)])
-    return int(per_a.sum()), member
 
 
 def _member_sums(per_mask: np.ndarray) -> np.ndarray:
@@ -249,8 +202,9 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     The order among equal sums cannot change a count: no boundary falls
     between equal B sums (a search never splits equal values, and the
     predicate gives equal b the same answer), and the histogram does not
-    depend on the A order.  Output is identical to count_winning_naive:
-    the kernels share one coalition-weight arithmetic.
+    depend on the A order.  Output is identical to full enumeration on the
+    same coalition-weight arithmetic, which the test suite's oracle
+    (``count_winning_naive`` in ``tests/reference.py``) carries out.
     """
     n = game.n
     if n > MITM_BUDGET:
@@ -348,7 +302,8 @@ def _profile_from_counts(n: int, omega: int, member: np.ndarray) -> PowerProfile
 
 def banzhaf(game: VotingGame) -> PowerProfile:
     """Exact Penrose-Banzhaf profile, n <= 48, from the meet-in-the-middle
-    counts at every n; count_winning_naive is the enumeration reference."""
+    counts at every n; the enumeration oracle in ``tests/reference.py``
+    checks them."""
     omega, member = count_winning_mitm(game)
     return _profile_from_counts(game.n, omega, member)
 

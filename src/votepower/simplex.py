@@ -179,11 +179,6 @@ def _simplex_rows(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return exponentials
 
 
-def sample_uniform_simplex(n: int, seed) -> np.ndarray:
-    """Draw one weight vector uniform on the n-simplex."""
-    return sample_uniform_simplex_batch(n, 1, seed)[0]
-
-
 def renyi_partial_sums(weights) -> np.ndarray:
     """Map a weight vector to the vector with k-th entry sum_{j>=k} w_j / j.
 

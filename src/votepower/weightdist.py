@@ -70,22 +70,22 @@ def expected_ordered_weight_exact(n: int, k: int) -> Fraction:
 
 
 def expected_ordered_weights(n: int) -> np.ndarray:
-    """All n expected ordered weights, largest first."""
+    """All n expected ordered weights, largest first: the harmonic tails
+    H_n - H_{k-1} in one exact suffix pass, each divided by n and rounded
+    once, so entry k-1 is expected_ordered_weight(n, k) bit for bit."""
     n = as_player_count(n)
-    return np.array([expected_ordered_weight(n, k) for k in range(1, n + 1)])
+    out = np.empty(n)
+    tail = Fraction(0)
+    for k in range(n, 0, -1):
+        tail += Fraction(1, k)
+        out[k - 1] = float(tail / n)
+    return out
 
 
 def ordered_weight_support(n: int, k: int) -> tuple[float, float]:
     """Support interval of the k-th largest weight's distribution."""
     n = _check_density_args(n, k)
     return (1.0 / n, 1.0) if k == 1 else (0.0, 1.0 / k)
-
-
-def ordered_weight_breakpoints(n: int, k: int) -> np.ndarray:
-    """Interior breakpoints 1/j of the piecewise polynomial density."""
-    lo, hi = ordered_weight_support(n, k)
-    pts = [1.0 / j for j in range(k, n + 1)]
-    return np.array(sorted(p for p in pts if lo < p < hi))
 
 
 def ordered_weight_density(n: int, k: int, x: float) -> float:

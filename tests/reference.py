@@ -1,8 +1,13 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written against different primitives than
+The oracles are deliberately written against different primitives than
 the library (itertools enumeration with exact fsum, beta-function
 identities, quadrature) so that agreement is evidence, not tautology.
+The one exception is the enumeration oracle (``count_winning_naive`` and
+``is_winning``), which reuses the library's coalition-weight arithmetic on
+purpose; its docstring says why.  The last helpers are test conveniences
+on top of the public API: a one-row sampler, density breakpoints and the
+CLI's table layout.
 """
 
 import json
@@ -13,6 +18,11 @@ from itertools import combinations
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import betainc
+
+import votepower
+from votepower import BudgetExceededError, InvalidArgumentsError, games
+
+NAIVE_BUDGET = 30      # full 2^n enumeration
 
 
 def brute_counts(weights, quota):
@@ -28,6 +38,59 @@ def brute_counts(weights, quota):
                 for i in combo:
                     member[i] += 1
     return omega, member
+
+
+def is_winning(game, coalition: int) -> bool:
+    """Does the coalition (an n-bit member mask) reach the quota?"""
+    n = game.n
+    if not (0 <= coalition < (1 << n)):
+        raise InvalidArgumentsError("coalition mask has bits beyond the player count")
+    if coalition == (1 << n) - 1:
+        return True
+    weights, threshold = games._kernel_inputs(game)
+    h = (n + 1) // 2
+    part_a = sum(weights[i] for i in range(h) if coalition >> i & 1)
+    part_b = sum(weights[i] for i in range(h, n) if coalition >> i & 1)
+    return bool(part_a + part_b >= threshold)
+
+
+def count_winning_naive(game) -> tuple[int, np.ndarray]:
+    """Count winning coalitions, and per player those containing them,
+    by enumerating all 2^n coalitions.  n <= 30.
+
+    Unlike the other oracles, this one takes its coalition weights from the
+    library's private helpers (``games._kernel_inputs``, ``_split_sums``,
+    ``_member_sums``): the same half split, the same summation order and the
+    same pinned grand coalition.  That is deliberate.  It checks the counting
+    kernels' search, binning and tie handling, so it must reproduce their
+    float arithmetic tie for tie, and a sum that rounds onto the quota wins
+    here exactly when it wins there; ``brute_counts`` is the independent
+    check of the arithmetic itself.
+
+    Each block of B masks is added to every A sum and compared with the
+    threshold; the wins are counted per A mask and per B mask, and each
+    player's count is the sum over the masks of its half with its bit set.
+    Blocks keep the n = 26 and 28 comparisons within a few MiB.
+    """
+    n = game.n
+    if n > NAIVE_BUDGET:
+        raise BudgetExceededError(
+            f"naive enumeration supports n <= {NAIVE_BUDGET}; "
+            "use count_winning_mitm for larger games"
+        )
+    weights, threshold = games._kernel_inputs(game)
+    sa, sb = games._split_sums(weights)
+    per_a = np.zeros(sa.size, dtype=np.int64)
+    per_b = np.empty(sb.size, dtype=np.int64)
+    span = max(1, games._BIN_BLOCK // sa.size)
+    for start in range(0, sb.size, span):
+        win = sb[start:start + span, None] + sa >= threshold
+        if start + span >= sb.size:
+            win[-1, -1] = True  # the grand coalition
+        per_a += np.count_nonzero(win, axis=0)
+        per_b[start:start + span] = np.count_nonzero(win, axis=1)
+    member = np.concatenate([games._member_sums(per_a), games._member_sums(per_b)])
+    return int(per_a.sum()), member
 
 
 def brute_swings(weights, quota):
@@ -180,6 +243,20 @@ def product_moment_quadrature(exponents, points=4001):
     # numpy < 2 names the trapezoid rule trapz
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     return float(trapezoid(w ** a * (1.0 - w) ** b, w))
+
+
+def sample_uniform_simplex(n: int, seed) -> np.ndarray:
+    """Draw one weight vector uniform on the n-simplex: the first row of
+    the library's batch sampler."""
+    return votepower.sample_uniform_simplex_batch(n, 1, seed)[0]
+
+
+def ordered_weight_breakpoints(n: int, k: int) -> np.ndarray:
+    """Interior breakpoints 1/j of the k-th largest weight's piecewise
+    polynomial density, for quadrature."""
+    lo, hi = votepower.ordered_weight_support(n, k)
+    pts = [1.0 / j for j in range(k, n + 1)]
+    return np.array(sorted(p for p in pts if lo < p < hi))
 
 
 def table_cell(value):

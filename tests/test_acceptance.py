@@ -19,6 +19,8 @@ from scipy.stats import chi2, ks_2samp
 import votepower as vp
 from votepower.experiments import CLASS_COUNT_CEILINGS
 
+from reference import ordered_weight_breakpoints, sample_uniform_simplex
+
 
 @contextmanager
 def criterion(number: int, description: str):
@@ -44,7 +46,7 @@ def test_c02_density_validity():
             for k in range(1, n + 1):
                 lo, hi = vp.ordered_weight_support(n, k)
                 assert (lo, hi) == ((1.0 / n, 1.0) if k == 1 else (0.0, 1.0 / k))
-                pts = list(vp.ordered_weight_breakpoints(n, k))
+                pts = list(ordered_weight_breakpoints(n, k))
                 mass, _ = quad(
                     lambda x: vp.ordered_weight_density(n, k, x),
                     lo, hi, points=pts, limit=200,
@@ -121,7 +123,7 @@ def test_c05_index_kernels():
         rng = np.random.default_rng(123)
         for trial in range(1000):
             n = int(rng.integers(1, 17))
-            w = vp.sample_uniform_simplex(n, vp.RandomSeed(7000, trial))
+            w = sample_uniform_simplex(n, vp.RandomSeed(7000, trial))
             game = vp.VotingGame(w, 1.0)
             counts = np.empty((quotas.size, 1 + n), dtype=np.int64)
             _level_histograms(_full_sums(game.weights), quotas, counts[:, :, None])
@@ -180,7 +182,7 @@ def test_c07_coleman_machinery():
             n = int(rng.integers(1, 13))
             q = float(rng.uniform(0.5 + 1e-9, 1.0))
             game = vp.VotingGame(
-                vp.sample_uniform_simplex(n, vp.RandomSeed(8000, trial)), q
+                sample_uniform_simplex(n, vp.RandomSeed(8000, trial)), q
             )
             assert vp.banzhaf(game).coleman <= vp.hoeffding_bound(game) + 1e-15
 

@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -387,6 +388,21 @@ class TestColemanErrorRatio:
             for y, r in zip((0.05, 0.15, 0.3), ratios)
         ]
         assert quotas_exact[0] > quotas_exact[1] > quotas_exact[2]
+
+    @pytest.mark.parametrize("n, y", [(60, 1e-17), (50, 1e-15), (45, 1e-13)])
+    def test_small_targets_keep_their_digits(self, n, y):
+        # 1 - y rounds away a small target's low digits (to 1.0 at 1e-17),
+        # so the normal quota comes from Phi^-1(y) itself.
+        ratio = coleman_error_ratio(n, y)
+        assert math.isfinite(ratio)
+        q_normal = 0.5 - statistics.NormalDist().inv_cdf(y) / math.sqrt(2.0 * (n + 1))
+        assert abs(expected_coleman(n, q_normal / ratio) - y) <= 1e-12 * y
+
+    def test_zero_target_fails_to_bracket_where_the_range_admits_it(self):
+        # From n = 538 on, 2^-2n underflows and y = 0 passes the range
+        # check; the bracket check comes before the inverse normal CDF.
+        with pytest.raises(ConvergenceFailureError):
+            coleman_error_ratio(600, 0.0)
 
     def test_out_of_range(self):
         with pytest.raises(InvalidArgumentsError):

@@ -428,6 +428,16 @@ class TestImport:
         assert proc.stdout.startswith("quota,series-name,")
         assert proc.stderr.strip() == "0 False"
 
+    def test_no_submodule_or_error_ratio_loads_scipy(self):
+        proc = fresh_interpreter(
+            "import importlib, pkgutil, sys, votepower\n"
+            "for module in pkgutil.iter_modules(votepower.__path__):\n"
+            "    importlib.import_module('votepower.' + module.name)\n"
+            "votepower.coleman_error_ratio(6, 0.1)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_package_import_loads_no_submodule_or_numpy(self):
         proc = fresh_interpreter(
             "import sys, votepower; "
@@ -597,16 +607,16 @@ InvalidArgumentsError InvalidDimensionError InvalidRankError
 PiecewisePolynomialCurve PowerProfile QuotaCurve RandomSeed SplineFit StepCurve
 VotePowerError VotingGame analytic as_weight_vector banzhaf class_table_n3
 coalition_weight_cf coleman_error_ratio count_extrema count_winning_mitm
-count_winning_naive default_quota_grid discover_classes dummies errors
+default_quota_grid discover_classes dummies errors
 expected_beta_n2 expected_beta_n2_curve expected_beta_n3 expected_beta_n3_curve
 expected_coleman expected_coleman_normal expected_ordered_weight
 expected_ordered_weight_exact expected_ordered_weights experiments extrema_n3
-fit_spline fixed_weight_quota_curve games hoeffding_bound is_winning
+fit_spline fixed_weight_quota_curve games hoeffding_bound
 mc_coleman_curve mc_hoeffding_curve mc_power_curve optimal_quota_diagnostic
-ordered_weight_breakpoints ordered_weight_cdf
+ordered_weight_cdf
 ordered_weight_density ordered_weight_support power_sum_moment product_moment
-product_moment_exact renyi_partial_sums sample_uniform_simplex
-sample_uniform_simplex_batch simplex sum_sq_stats weightdist
+product_moment_exact renyi_partial_sums sample_uniform_simplex_batch
+simplex sum_sq_stats weightdist
 """
 
 

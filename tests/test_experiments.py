@@ -604,7 +604,7 @@ class TestDiscoverClasses:
         rng = seed.substream(1).generator()
         weights = np.sort(_simplex_rows(rng, n, MC_CHUNK)[0])[::-1]
         game = VotingGame(weights, 1.0 - 0.5 * rng.random())
-        family = tuple(m for m in range(1 << n) if games.is_winning(game, m))
+        family = tuple(m for m in range(1 << n) if reference.is_winning(game, m))
 
         def catalog(budget):
             classes = discover_classes(n, budget=budget, seed=seed).classes

@@ -13,18 +13,16 @@ from votepower import (
     VotingGame,
     banzhaf,
     count_winning_mitm,
-    count_winning_naive,
     dummies,
     fixed_weight_quota_curve,
     hoeffding_bound,
-    is_winning,
     optimal_quota_diagnostic,
-    sample_uniform_simplex,
 )
 from votepower import games
 from votepower.experiments import default_quota_grid
 
 import reference
+from reference import count_winning_naive, is_winning, sample_uniform_simplex
 
 
 def game(weights, quota):

