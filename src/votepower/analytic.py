@@ -23,7 +23,9 @@ table.  The expected Coleman index P[Z >= q - 1/2] is the all-positive
 binomial sum E[C] = 2^-n (1 + sum_m C(n, m) P[Beta(m, n-m) >= q]); the
 characteristic function is Gauss-Legendre quadrature of the all-positive
 mixture density for small |t| and a finite sum by parts for large |t|, to
-~1e-13.  Both serve 1 <= n <= COLEMAN_N_MAX = 1000.
+~1e-13.  Both serve 1 <= n <= COLEMAN_N_MAX = 1000.  Only the CF
+imports numpy; everything else here is exact rational or ``math``
+arithmetic.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-
-import numpy as np
 
 from .errors import (
     AccuracyUnsupportedError,
@@ -278,7 +278,8 @@ def _cf_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     log(1-x)).  The nodes are 2 + n // 16 Gauss-Legendre panels of 20 on
     [0, 1/2], weighted 4 w f(x), and x = 0 for the atoms, weighted 2^(2-n).
     """
-    from numpy.polynomial.legendre import leggauss  # here: only the CF uses it
+    import numpy as np
+    from numpy.polynomial.legendre import leggauss
 
     nodes, weights = leggauss(20)
     panels = 2 + n // 16
@@ -301,6 +302,8 @@ def _cf_quadrature_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _cf_small(n: int, t: np.ndarray) -> np.ndarray:
     """The CF for |t| up to the switch, 1 minus the rule's positive sum (so
     exactly 1 at t = 0), over blocks of t."""
+    import numpy as np
+
     half_nodes, weights = _cf_quadrature_rule(n)
     out = np.empty_like(t)
     step = max(1, (1 << 18) // half_nodes.size)
@@ -337,6 +340,8 @@ def _cf_continuous_large(n: int, t: np.ndarray) -> np.ndarray:
     + 2 cos(t/2) sum_{k odd} (-1)^((k+1)/2) d_k / t^(k+1): two Horner
     sums in (s/t)^2, on coefficients scaled by s^(k+1) to keep them finite.
     """
+    import numpy as np
+
     ratio = _cf_switch(n) / t
     u = ratio * ratio
     even, odd = (np.polyval(coefficients[::-1], u) for coefficients in _cf_large_coefficients(n))
@@ -353,6 +358,8 @@ def coalition_weight_cf(n: int, t) -> float | np.ndarray:
     whole real line is covered; a non-finite t is an error.  Within 1e-13
     absolute of the power series summed in exact rationals, n <= COLEMAN_N_MAX.
     """
+    import numpy as np
+
     n = as_player_count(n)
     if n > COLEMAN_N_MAX:
         raise AccuracyUnsupportedError(
@@ -374,6 +381,8 @@ def coalition_weight_cf(n: int, t) -> float | np.ndarray:
 
 def _cf_continuous(n: int, t: np.ndarray) -> np.ndarray:
     """CF of the continuous part only (atoms at +-1/2 removed)."""
+    import numpy as np
+
     return coalition_weight_cf(n, t) - 2.0 ** (1 - n) * np.cos(0.5 * t)
 
 
@@ -381,13 +390,11 @@ def _cf_continuous(n: int, t: np.ndarray) -> np.ndarray:
 # expected Coleman index: the coalition-size Beta mixture
 
 @functools.cache
-def _mixture_log_weights(n: int) -> np.ndarray:
+def _mixture_log_weights(n: int) -> tuple[float, ...]:
     """log(C(n-1, j) T_j / 2^n) for j = 0 .. n-2: each weight is an exact
-    integer ratio rounded once, then logged.  Cached per n, so read-only."""
+    integer ratio rounded once, then logged.  Cached per n."""
     pmf = accumulate(range(1, n - 1), lambda c, j: c * (n - j) // j, initial=1)  # C(n-1, j)
-    logs = np.array([math.log(c * tail / (1 << n)) for c, tail in zip(pmf, _mixture_tails(n))])
-    logs.setflags(write=False)
-    return logs
+    return tuple(math.log(c * tail / (1 << n)) for c, tail in zip(pmf, _mixture_tails(n)))
 
 
 def expected_coleman(n: int, q: float) -> float:
@@ -401,8 +408,10 @@ def expected_coleman(n: int, q: float) -> float:
     2^-n + sum_{j<n-1} P[Bin(n-1, q) = j] 2^-n sum_{j<m<n} C(n, m).
     Each term is exp of its exact integer weight's log plus
     j log q + (n-1-j) log(1-q), so nothing cancels: values down to 2^-n keep
-    full relative accuracy.  Validated for n <= COLEMAN_N_MAX (2^-n
-    underflows past n = 1074); q = 1 leaves only the grand coalition, 2^-n.
+    full relative accuracy.  exp, log and log1p are the C library's, so the
+    bits do not depend on which SIMD kernels the CPU offers.  Validated for
+    n <= COLEMAN_N_MAX (2^-n underflows past n = 1074); q = 1 leaves only
+    the grand coalition, 2^-n.
     """
     n = as_player_count(n)
     if n > COLEMAN_N_MAX:
@@ -412,9 +421,12 @@ def expected_coleman(n: int, q: float) -> float:
     q = as_quota(q)
     if q == 1.0:
         return 2.0 ** (-n)
-    j = np.arange(n - 1)
-    exponents = _mixture_log_weights(n) + j * math.log(q) + (n - 1 - j) * math.log1p(-q)
-    return math.fsum([2.0 ** (-n), *np.exp(exponents)])
+    log_q, log_p = math.log(q), math.log1p(-q)
+    terms = (
+        math.exp(w + j * log_q + (n - 1 - j) * log_p)
+        for j, w in enumerate(_mixture_log_weights(n))
+    )
+    return math.fsum([2.0 ** (-n), *terms])
 
 
 def expected_coleman_normal(n: int, q: float) -> float:
@@ -439,9 +451,13 @@ def coleman_error_ratio(n: int, y: float) -> float:
     1/2 - Phi^-1(y) / sqrt(2 (n+1)), from y itself, so a small target
     keeps its digits.  The denominator inverts the exact mixture curve,
     which is strictly decreasing in q, by bisection on
-    [1/2 + 1e-9, 1 - 1e-9] down to adjacent floats.  The curve never goes
-    below 2^-n, its value at q = 1, so a target at or below its value at
-    1 - 1e-9 raises ConvergenceFailureError.
+    [nextafter(1/2, 1), 1 - 1e-9] down to adjacent floats, the root
+    between them.  A target at or above the curve's value at the lower
+    end, the float just above 1/2 (the curve exceeds 1/2 there only by
+    rounding, by about 1e-16 at n = 30 and 1e-14 at n = 1000), has no
+    quota above it and raises ConvergenceFailureError.  So does a target
+    at or below the value at 1 - 1e-9: the curve never goes below 2^-n,
+    its value at q = 1.
     """
     n = as_player_count(n)
     y = float(y)
@@ -449,13 +465,19 @@ def coleman_error_ratio(n: int, y: float) -> float:
         raise InvalidArgumentsError("target value outside [2^-2n, 1/2]")
     if y == 0.5:
         return 1.0
-    lo, hi = 0.5 + 1e-9, 1.0 - 1e-9
-    f_hi = expected_coleman(n, hi) - y
-    if f_hi >= 0.0:
+    lo, hi = math.nextafter(0.5, 1.0), 1.0 - 1e-9
+    f_lo, f_hi = expected_coleman(n, lo), expected_coleman(n, hi)
+    if f_lo <= y:
+        raise ConvergenceFailureError(
+            f"target {y!r} is at or above the exact curve just above q = 1/2; "
+            "no quota brackets it",
+            estimates=(f_lo, y),
+        )
+    if f_hi >= y:
         raise ConvergenceFailureError(
             f"target {y!r} is below the exact curve's infimum near q = 1; "
             "no quota brackets it",
-            estimates=(f_hi + y, y),
+            estimates=(f_hi, y),
         )
     q_normal = 0.5 - statistics.NormalDist().inv_cdf(y) / math.sqrt(2.0 * (n + 1))
     while True:

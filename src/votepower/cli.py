@@ -4,11 +4,11 @@ One subcommand per task; results go to stdout or --output as CSV (default)
 or JSON, written by the handlers in ``commands``.
 
 Start-up is a large part of a short run.  This module imports only the
-standard library, ``errors`` and ``svgplot`` (which loads numpy only to
-draw), so ``--help``, a config error and any other usage error that
-argparse reports never load numpy.  ``main`` imports ``commands`` once
-the arguments parse, and each handler there imports the submodules it
-calls, so a run loads no others.  Before numpy is imported,
+standard library, ``errors`` and ``svgplot``, so ``--help``, a config
+error and any other usage error that argparse reports never load numpy.
+``main`` imports ``commands`` once the arguments parse, and each handler
+there imports the submodules it calls, so a run loads no others; the
+closed forms load no numpy at all.  Before numpy is imported,
 ``OPENBLAS_NUM_THREADS`` defaults to 1 (a value that is already set is
 kept), so no idle BLAS threads spin in the process.
 
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     try:
         if "workers" in args and args.workers is None:
             args.workers = int(os.environ.get("VOTEPOWER_WORKERS", "1"))
-        from . import commands  # numpy comes in here, once the arguments parse
+        from . import commands  # the handlers come in once the arguments parse
 
         code = commands.HANDLERS[args.command](args)
         flush = getattr(sys.stdout, "flush", None)  # a table needs only write()

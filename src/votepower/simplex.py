@@ -7,7 +7,9 @@ integer n >= 1, not a bool, and returns a Python int, so arithmetic on n
 stays exact; ``as_count`` checks the other counts (samples, workers,
 budgets) the same way, and ``as_rank`` a rank k in 1..n.  ``as_quota``
 and ``as_quota_grid`` take quotas in (1/2, 1], a grid strictly
-increasing.
+increasing.  These checks are plain Python, so the closed forms that
+call them load no numpy; the functions that build arrays or sample
+import it themselves.
 
 Weight vectors are plain float64 numpy arrays with non-negative entries
 summing to one.  Sampling uses the classic construction (normalize n
@@ -15,17 +17,18 @@ independent unit exponentials), with the exponentials drawn by inverse
 CDF so the mapping from uniforms to draws is explicit and portable.
 
 Reproducibility: the bit generator is numpy's counter-based Philox4x64
-keyed directly by ``(seed, stream)``.  Two runs with the same key produce
-identical draws on any platform, regardless of how work is chunked or
-threaded, because streams never share state.
+keyed directly by ``(seed, stream)``.  Two runs with the same key draw
+identical uniforms on any platform, regardless of how work is chunked or
+threaded, because streams never share state.  On one host the weights
+are identical too; across hosts their last bits follow numpy's ``log1p``,
+which numpy dispatches to SIMD kernels by CPU.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
 
 from .errors import InvalidArgumentsError, InvalidDimensionError, InvalidRankError
 
@@ -57,6 +60,8 @@ class RandomSeed:
                 )
 
     def generator(self) -> np.random.Generator:
+        import numpy as np
+
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -75,7 +80,7 @@ def as_seed(seed) -> RandomSeed:
     """Coerce an int or RandomSeed into a RandomSeed."""
     if isinstance(seed, RandomSeed):
         return seed
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+    if isinstance(seed, Integral) and not isinstance(seed, bool):
         return RandomSeed(int(seed))
     raise InvalidArgumentsError(f"cannot interpret {seed!r} as a random seed")
 
@@ -83,7 +88,7 @@ def as_seed(seed) -> RandomSeed:
 def as_count(value, what: str, *, minimum: int = 1, error=InvalidArgumentsError) -> int:
     """``value`` as a Python int, checked to be an integer (Python or numpy,
     not a bool) of at least ``minimum``; ``what`` names it in the error."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise error(f"{what} must be an integer, got {value!r}")
     if value < minimum:
         raise error(f"{what} must be at least {minimum}")
@@ -112,21 +117,46 @@ def as_quota(q) -> float:
     return q
 
 
-def as_quota_grid(quotas) -> np.ndarray:
-    """``quotas`` as a float64 grid, checked to be non-empty, strictly
+def _quota_values(quotas) -> list[float]:
+    """``quotas`` as a list of floats, checked to be non-empty, strictly
     increasing and inside (1/2, 1]."""
-    grid = np.asarray(quotas, dtype=np.float64).reshape(-1)
+    grid = [float(q) for q in quotas]
     # Negated comparisons, so that a NaN quota fails them.
-    if grid.size == 0 or not np.all(np.diff(grid) > 0):
+    if not grid or not all(a < b for a, b in zip(grid, grid[1:])):
         raise InvalidArgumentsError("quota grid must be strictly increasing")
     if not (0.5 < grid[0] and grid[-1] <= 1.0):
         raise InvalidArgumentsError("quota grid must lie in (1/2, 1]")
     return grid
 
 
+def as_quota_grid(quotas) -> np.ndarray:
+    """``quotas`` as a float64 grid, checked to be non-empty, strictly
+    increasing and inside (1/2, 1]."""
+    import numpy as np
+
+    grid = np.asarray(quotas, dtype=np.float64).reshape(-1)
+    _quota_values(grid.tolist())
+    return grid
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)`` in Python floats, by its own
+    formula: entry i is i * step + start, and the last entry is stop."""
+    if num == 1:
+        return [start]
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
+def _default_quotas() -> list[float]:
+    return _linspace(0.505, 0.995, 99) + [1.0]
+
+
 def default_quota_grid() -> np.ndarray:
     """99 equispaced quotas from 0.505 to 0.995, plus the unanimity point."""
-    return np.append(np.linspace(0.505, 0.995, 99), 1.0)
+    import numpy as np
+
+    return np.array(_default_quotas())
 
 
 def as_weight_vector(values, *, normalize: bool = False) -> np.ndarray:
@@ -136,6 +166,8 @@ def as_weight_vector(values, *, normalize: bool = False) -> np.ndarray:
     ``SUM_TOLERANCE``.  With ``normalize=True`` the input is first divided
     by its exact (fsum) total, which accepts any positive vector.
     """
+    import numpy as np
+
     w = np.array(values, dtype=np.float64).reshape(-1)
     if w.size < 1:
         raise InvalidDimensionError("a weight vector needs at least one entry")
@@ -172,6 +204,8 @@ def sample_uniform_simplex_batch(n: int, size: int, seed) -> np.ndarray:
 def _simplex_rows(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     """``size`` uniform simplex rows from ``rng``, which the caller may go
     on drawing from."""
+    import numpy as np
+
     u = rng.random((size, n))
     # U = 1 - u lies in (0, 1], so the log never sees zero.
     exponentials = -np.log1p(-u)
@@ -187,6 +221,8 @@ def renyi_partial_sums(weights) -> np.ndarray:
     oracle for the sampler: ordered draws and transformed draws must be
     indistinguishable.  Entries are non-increasing and sum to 1.
     """
+    import numpy as np
+
     w = as_weight_vector(weights)
     n = w.size
     scaled = w / np.arange(1, n + 1, dtype=np.float64)

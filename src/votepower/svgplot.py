@@ -29,26 +29,24 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def emit_plot(series, path: str, caption: str):
-    """Write a line chart of ``series`` (name, x array, y array) to ``path``.
+    """Write a line chart of ``series`` (name, xs, ys) to ``path``; the
+    coordinates are 1-d sequences of numbers or numpy arrays.
 
     Raises if there is nothing to draw; a single point degenerates to a
     marker.  Returns the path written.
     """
-    import numpy as np  # here, so importing the CLI's parser loads no numpy
-
     cleaned = []
     for name, xs, ys in series:
-        xs = np.asarray(xs, dtype=np.float64).reshape(-1)
-        ys = np.asarray(ys, dtype=np.float64).reshape(-1)
-        if xs.size and xs.size == ys.size:
+        xs, ys = list(map(float, xs)), list(map(float, ys))
+        if xs and len(xs) == len(ys):
             cleaned.append((str(name), xs, ys))
     if not cleaned:
         raise InvalidArgumentsError("no data to plot")
 
-    x_lo = min(float(xs.min()) for _, xs, _ in cleaned)
-    x_hi = max(float(xs.max()) for _, xs, _ in cleaned)
-    y_lo = min(float(ys.min()) for _, _, ys in cleaned)
-    y_hi = max(float(ys.max()) for _, _, ys in cleaned)
+    x_lo = min(min(xs) for _, xs, _ in cleaned)
+    x_hi = max(max(xs) for _, xs, _ in cleaned)
+    y_lo = min(min(ys) for _, _, ys in cleaned)
+    y_hi = max(max(ys) for _, _, ys in cleaned)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -95,7 +93,7 @@ def emit_plot(series, path: str, caption: str):
         )
     for idx, (name, xs, ys) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
-        if xs.size == 1:
+        if len(xs) == 1:
             lines.append(
                 f'<circle cx="{px(xs[0]):.2f}" cy="{py(ys[0]):.2f}" r="3" fill="{color}"/>'
             )

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
+from itertools import accumulate
 
 from .errors import (
     AccuracyUnsupportedError,
@@ -70,16 +69,20 @@ def expected_ordered_weight_exact(n: int, k: int) -> Fraction:
 
 
 def expected_ordered_weights(n: int) -> np.ndarray:
+    """All n expected ordered weights, largest first, as an array of
+    ``_expected_weight_floats(n)``."""
+    import numpy as np
+
+    return np.array(_expected_weight_floats(n))
+
+
+def _expected_weight_floats(n: int) -> list[float]:
     """All n expected ordered weights, largest first: the harmonic tails
     H_n - H_{k-1} in one exact suffix pass, each divided by n and rounded
     once, so entry k-1 is expected_ordered_weight(n, k) bit for bit."""
     n = as_player_count(n)
-    out = np.empty(n)
-    tail = Fraction(0)
-    for k in range(n, 0, -1):
-        tail += Fraction(1, k)
-        out[k - 1] = float(tail / n)
-    return out
+    tails = accumulate(Fraction(1, k) for k in range(n, 0, -1))  # k = n down to 1
+    return [float(tail / n) for tail in tails][::-1]
 
 
 def ordered_weight_support(n: int, k: int) -> tuple[float, float]:

@@ -415,3 +415,20 @@ class TestColemanErrorRatio:
         # by the curve on (1/2, 1).
         with pytest.raises(ConvergenceFailureError):
             coleman_error_ratio(6, 0.0005)
+
+    @pytest.mark.parametrize("n", [6, 30, 1000])
+    def test_target_just_under_half_finds_its_root(self, n):
+        # The bisection starts at the float just above 1/2, so the quota it
+        # returns is the root's, not a bracket end: it and the next float
+        # up bracket y.
+        y = 0.5 - 1e-12
+        q_normal = 0.5 - statistics.NormalDist().inv_cdf(y) / math.sqrt(2.0 * (n + 1))
+        q = q_normal / coleman_error_ratio(n, y)
+        assert expected_coleman(n, q) > y >= expected_coleman(n, math.nextafter(q, 1.0))
+
+    def test_target_above_the_curve_just_above_half_fails_to_bracket(self):
+        # At n = 6 the curve at nextafter(1/2, 1) rounds to 2 ulps below
+        # 1/2, so the float just below 1/2 has no quota above 1/2.
+        assert expected_coleman(6, math.nextafter(0.5, 1.0)) < math.nextafter(0.5, 0.0)
+        with pytest.raises(ConvergenceFailureError, match="just above q = 1/2"):
+            coleman_error_ratio(6, math.nextafter(0.5, 0.0))

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -18,13 +19,8 @@ import reference
 import votepower
 from votepower import ConvergenceFailureError, analytic, experiments, games, simplex
 from votepower.cli import main
-from votepower.commands import (
-    _CURVE_HEADER,
-    _TABLE_BLOCK,
-    _digits_exponent,
-    _float_text,
-    _write_table,
-)
+from votepower.commands import _CURVE_HEADER, _TABLE_BLOCK, _write_table
+from votepower.floattext import _digits_exponent, float_text as _float_text
 
 
 def run_cli(args, capsys):
@@ -473,28 +469,48 @@ class TestImport:
     @pytest.mark.parametrize(
         "argv, absent",
         [
-            (["expected-weights", "--n", "6"], ["games", "experiments", "analytic"]),
+            (["expected-weights", "--n", "6"], ["games", "experiments", "analytic", "numpy"]),
+            (["weight-density", "--n", "4", "--k", "2", "--plot", "density.svg"],
+             ["games", "experiments", "analytic", "numpy"]),
             (["moments", "--n", "4", "--m", "2,1,0,0", "--sum-sq"],
-             ["games", "experiments", "analytic"]),
+             ["games", "experiments", "analytic", "numpy"]),
             (["indices", "--weights", "0.5,0.3,0.2", "--quota", "0.55"],
              ["experiments", "analytic", "weightdist"]),
-            (["coleman-curve", "--n", "12", "--method", "inversion"], ["experiments", "games"]),
+            (["coleman-curve", "--n", "12", "--method", "inversion"],
+             ["experiments", "games", "numpy"]),
             (["coleman-curve", "--n", "6", "--method", "inversion", "--quota", "1.0"],
-             ["experiments", "games"]),
-            (["analytic", "--what", "beta-n3"], ["experiments", "games"]),
+             ["experiments", "games", "numpy"]),
+            (["analytic", "--what", "beta-n3"], ["experiments", "games", "numpy"]),
+            (["analytic", "--what", "extrema"], ["experiments", "games", "numpy"]),
         ],
-        ids=["expected-weights", "moments", "indices", "coleman-inversion",
-             "coleman-single-quota", "beta-n3"],
+        ids=["expected-weights", "density-plot", "moments", "indices", "coleman-inversion",
+             "coleman-single-quota", "beta-n3", "extrema"],
     )
-    def test_subcommand_imports_only_what_it_uses(self, argv, absent):
+    def test_subcommand_imports_only_what_it_uses(self, tmp_path, argv, absent):
+        # votepower submodules by their short names; numpy by its own
+        names = [m if m == "numpy" else "votepower." + m for m in absent]
+        argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
         proc = fresh_interpreter(
             "import sys; from votepower.cli import main; "
             f"code = main({argv!r}); "
-            f"print(code, [m for m in {absent!r} if 'votepower.' + m in sys.modules], "
-            "file=sys.stderr)"
+            f"print(code, [m for m in {names!r} if m in sys.modules], file=sys.stderr)"
         )
         assert proc.stdout
         assert proc.stderr.strip() == "0 []"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analytic", "--what", "cf", "--n", "3", "--t", "1"],
+         ["power-curve", "--n", "3", "--samples", "16"]],
+        ids=["cf", "monte-carlo"],
+    )
+    def test_cf_and_monte_carlo_load_numpy(self, argv):
+        proc = fresh_interpreter(
+            "import sys; from votepower.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, 'numpy' in sys.modules, file=sys.stderr)"
+        )
+        assert proc.stderr.strip() == "0 True"
 
     @pytest.mark.parametrize(
         "argv",
@@ -962,6 +978,20 @@ class TestPlotsAndFiles:
         emit_plot([("p", [0.6], [0.25])], str(target), "one point")
         assert "<circle" in target.read_text()
 
+    def test_plot_bytes_are_the_same_from_lists_and_arrays(self, tmp_path):
+        from votepower.svgplot import emit_plot
+
+        xs = np.linspace(0.505, 1.0, 100)
+        ys = np.sin(40 * xs) / 3
+        charts = []
+        for kind, convert in (("list", list), ("tolist", np.ndarray.tolist), ("array", np.asarray)):
+            target = tmp_path / f"{kind}.svg"
+            emit_plot([("a", convert(xs), convert(ys)), ("b", convert(xs[:1]), convert(ys[:1]))],
+                      str(target), "caption")
+            charts.append(target.read_bytes())
+        assert charts[0] == charts[1] == charts[2]
+        assert charts[0].count(b"<polyline") == 1 and charts[0].count(b"<circle") == 1
+
 
 def _bits_to_float(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
@@ -1214,8 +1244,8 @@ class TestClosedFormBytes:
     @pytest.mark.parametrize(
         "n, digest",
         [
-            (12, "4c7ca7e46ef9e365dda44fe7990e749c546c62e20bc20014b9f265d2a72cda80"),
-            (30, "b0880e4a328a719b4e96a44081118343f099e15434d52f4ebb3513422a81deac"),
+            (12, "c7fd6fd77a17ef39bfc4d32da2f196baf589c61e6faa22fed51ebf2b8b420be5"),
+            (30, "72312871021745efe33e08d7070743c59247c7af7bf64ab93a638b9081cb0bcb"),
         ],
     )
     def test_coleman_inversion_digest(self, capsys, n, digest):
@@ -1223,6 +1253,31 @@ class TestClosedFormBytes:
         code, out, _ = run_cli(["coleman-curve", "--n", str(n), "--method", "inversion"], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_coleman_inversion_ignores_numpy_cpu_dispatch(self, capsys, n):
+        # The exact curve takes exp from the C library, so its bits are the
+        # same when numpy may use only the CPU features it was built for.
+        baseline = _numpy_cpu_baseline()
+        if baseline is None:
+            pytest.skip("numpy exposes no __cpu_baseline__")
+        argv = ["coleman-curve", "--n", str(n), "--method", "inversion"]
+        proc = fresh_interpreter(
+            f"import numpy; from votepower.cli import main; main({argv!r})",
+            NPY_ENABLE_CPU_FEATURES=" ".join(baseline),
+        )
+        assert proc.stdout == run_cli(argv, capsys)[1]
+
+
+def _numpy_cpu_baseline():
+    """The CPU features numpy was built for, or None where numpy does not
+    say."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            return list(importlib.import_module(name).__cpu_baseline__)
+        except (ImportError, AttributeError):
+            continue
+    return None
 
 
 class TestHelpBytes:
@@ -1316,6 +1371,18 @@ class TestJsonTable:
         assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
         _write_table(args, ("x",), [np.array([])])
         assert capsys.readouterr().out == "[]\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_number_lists_match_arrays(self, capsys, fmt):
+        # the closed forms write lists of Python numbers, the rest numpy
+        # arrays; the bytes are the same
+        args = argparse.Namespace(format=fmt, output=None)
+        floats = [0.0, -0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, 1e22, 1e-5]
+        ints = list(range(-3, len(floats) - 3))
+        _write_table(args, ("x", "k"), [floats, ints])
+        from_lists = capsys.readouterr().out
+        _write_table(args, ("x", "k"), [np.array(floats), np.array(ints)])
+        assert from_lists == capsys.readouterr().out
 
     def test_rows_are_written_in_blocks(self, monkeypatch):
         # At n = 12 the curve has 24576 rows, more than one block.

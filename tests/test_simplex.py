@@ -15,6 +15,7 @@ from votepower import (
     renyi_partial_sums,
     sample_uniform_simplex_batch,
 )
+from votepower import simplex
 from votepower.simplex import as_player_count, as_quota_grid, as_rank
 
 from reference import sample_uniform_simplex
@@ -250,3 +251,15 @@ class TestInputContract:
     def test_quota_grid_edges(self, grid):
         with pytest.raises(InvalidArgumentsError):
             as_quota_grid(grid)
+
+    def test_default_grid_is_numpy_linspace(self):
+        expected = np.append(np.linspace(0.505, 0.995, 99), 1.0)
+        assert simplex.default_quota_grid().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(0.25, 1.0), (0.0, 0.5), (1 / 3, 1.0), (0.0, 1 / 7)])
+    def test_linspace_is_numpy_linspace(self, lo, hi):
+        # the density's x values on the supports of f_{4,1}, f_{n,2}, f_{3,1}
+        # and f_{n,7}, for every point count up to 1000
+        for points in range(1, 1001):
+            got = np.array(simplex._linspace(lo, hi, points))
+            assert got.tobytes() == np.linspace(lo, hi, points).tobytes()
