@@ -36,7 +36,6 @@ _EXPORTS = {
     "errors": (
         "AccuracyUnsupportedError",
         "BudgetExceededError",
-        "ConvergenceFailureError",
         "DegenerateDistributionError",
         "InvalidArgumentsError",
         "InvalidDimensionError",

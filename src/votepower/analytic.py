@@ -37,11 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import (
-    AccuracyUnsupportedError,
-    ConvergenceFailureError,
-    InvalidArgumentsError,
-)
+from .errors import AccuracyUnsupportedError, InvalidArgumentsError
 from .simplex import as_player_count, as_quota, as_rank
 
 # --------------------------------------------------------------------------
@@ -452,38 +448,28 @@ def coleman_error_ratio(n: int, y: float) -> float:
     keeps its digits.  The denominator inverts the exact mixture curve,
     which is strictly decreasing in q, by bisection on
     [nextafter(1/2, 1), 1 - 1e-9] down to adjacent floats, the root
-    between them.  A target at or above the curve's value at the lower
-    end, the float just above 1/2 (the curve exceeds 1/2 there only by
-    rounding, by about 1e-16 at n = 30 and 1e-14 at n = 1000), has no
-    quota above it and raises ConvergenceFailureError.  So does a target
-    at or below the value at 1 - 1e-9: the curve never goes below 2^-n,
-    its value at q = 1.
+    between them.  y = 1/2 gives 1; any other target must lie strictly
+    between the curve's values at the two ends, f(1 - 1e-9), just above
+    its floor 2^-n, and f(nextafter(1/2, 1)), 1/2 up to rounding (about
+    1e-16 at n = 30, 1e-14 at n = 1000), or InvalidArgumentsError names
+    that interval.  At n = 1 the curve is 1/2 everywhere, so only 1/2 is
+    accepted.
     """
     n = as_player_count(n)
     y = float(y)
-    if not (2.0 ** (-2 * n) <= y <= 0.5):
-        raise InvalidArgumentsError("target value outside [2^-2n, 1/2]")
     if y == 0.5:
         return 1.0
     lo, hi = math.nextafter(0.5, 1.0), 1.0 - 1e-9
     f_lo, f_hi = expected_coleman(n, lo), expected_coleman(n, hi)
-    if f_lo <= y:
-        raise ConvergenceFailureError(
-            f"target {y!r} is at or above the exact curve just above q = 1/2; "
-            "no quota brackets it",
-            estimates=(f_lo, y),
-        )
-    if f_hi >= y:
-        raise ConvergenceFailureError(
-            f"target {y!r} is below the exact curve's infimum near q = 1; "
-            "no quota brackets it",
-            estimates=(f_hi, y),
+    if not (f_hi < y < f_lo):  # a NaN target fails too
+        raise InvalidArgumentsError(
+            f"target {y!r} outside the exact curve's reach ({f_hi!r}, {f_lo!r}) at n = {n}"
         )
     q_normal = 0.5 - statistics.NormalDist().inv_cdf(y) / math.sqrt(2.0 * (n + 1))
     while True:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return q_normal / mid
+        if mid in (lo, hi):  # adjacent floats: f(lo) > y >= f(hi)
+            return q_normal / lo
         if expected_coleman(n, mid) > y:
             lo = mid
         else:

@@ -12,10 +12,10 @@ closed forms load no numpy at all.  Before numpy is imported,
 ``OPENBLAS_NUM_THREADS`` defaults to 1 (a value that is already set is
 kept), so no idle BLAS threads spin in the process.
 
-Exit codes: 0 success, 1 I/O error, 2 usage error, 3 numeric convergence
-failure, 4 enumeration or memory budget exceeded.  A reader that closes
-the pipe early (``votepower ... | head``) ends the run with 1 and no
-message, as Unix filters do.
+Exit codes: 0 success, 1 I/O error, 2 usage error, 4 enumeration or
+memory budget exceeded.  A reader that closes the pipe early
+(``votepower ... | head``) ends the run with 1 and no message, as Unix
+filters do.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import contextlib
 import os
 import sys
 
-from .errors import BudgetExceededError, ConvergenceFailureError, VotePowerError
+from .errors import BudgetExceededError, VotePowerError
 from .svgplot import emit_plot  # noqa: F401  (the handlers plot through cli.emit_plot)
 
 # numpy starts OpenBLAS's thread pool on import, and its idle threads spin
@@ -113,7 +113,7 @@ def build_parser(
     sub.add_argument("--samples", type=int, default=65536)
     sub.add_argument("--statistic", choices=("beta", "psi"), default="beta")
     sub.add_argument("--quotas", help="comma-separated quota grid")
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--plot")
     _add_seed_args(sub)
     _add_output_args(sub)
@@ -133,7 +133,7 @@ def build_parser(
     quota.add_argument("--quota", type=float, help="single quota; prints one value")
     quota.add_argument("--quotas", help="comma-separated quota grid")
     sub.add_argument("--samples", type=int, default=65536)
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--plot")
     _add_seed_args(sub)
     _add_output_args(sub)
@@ -228,8 +228,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if "workers" in args and args.workers is None:
-            args.workers = int(os.environ.get("VOTEPOWER_WORKERS", "1"))
         from . import commands  # the handlers come in once the arguments parse
 
         code = commands.HANDLERS[args.command](args)
@@ -248,9 +246,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except ConvergenceFailureError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except (VotePowerError, argparse.ArgumentTypeError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -153,7 +153,7 @@ def _game_from_args(args) -> games.VotingGame:
 def _quota_grid_from_args(args) -> list[float]:
     from . import simplex
 
-    if args.quotas:
+    if args.quotas is not None:  # an empty --quotas= is refused, not read as absent
         return simplex._quota_values(_parse_floats(args.quotas))
     return simplex._default_quotas()
 
@@ -237,10 +237,9 @@ def _cmd_expected_weights(args):
 def _cmd_weight_density(args):
     from . import simplex, weightdist
 
-    if args.points < 1:
-        raise InvalidArgumentsError("--points must be at least 1")
+    points = simplex.as_count(args.points, "--points")
     lo, hi = weightdist.ordered_weight_support(args.n, args.k)
-    xs = simplex._linspace(lo, hi, args.points)
+    xs = simplex._linspace(lo, hi, points)
     density = [weightdist.ordered_weight_density(args.n, args.k, x) for x in xs]
     _write_table(args, ("x", "density"), [xs, density])
     _maybe_plot(

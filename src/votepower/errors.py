@@ -32,14 +32,3 @@ class AccuracyUnsupportedError(VotePowerError):
     """Inputs lie outside the validated accuracy range; refusing to
     return a possibly garbage value."""
 
-
-class ConvergenceFailureError(VotePowerError):
-    """A numeric iteration did not converge within its budget.
-
-    ``estimates`` carries the last two successive values so the caller
-    can judge how far apart they were.
-    """
-
-    def __init__(self, message: str, estimates: tuple | None = None):
-        super().__init__(message)
-        self.estimates = estimates

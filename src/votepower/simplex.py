@@ -4,12 +4,12 @@ checks.
 Every result is a function of a player count n and a quota q, and this
 module alone decides what those may be.  ``as_player_count`` takes an
 integer n >= 1, not a bool, and returns a Python int, so arithmetic on n
-stays exact; ``as_count`` checks the other counts (samples, workers,
-budgets) the same way, and ``as_rank`` a rank k in 1..n.  ``as_quota``
-and ``as_quota_grid`` take quotas in (1/2, 1], a grid strictly
-increasing.  These checks are plain Python, so the closed forms that
-call them load no numpy; the functions that build arrays or sample
-import it themselves.
+stays exact; ``as_count`` checks every other integer (samples, workers,
+budgets, seeds and streams, moment exponents) the same way, and
+``as_rank`` a rank k in 1..n.  ``as_quota`` and ``as_quota_grid`` take
+quotas in (1/2, 1], a grid non-empty and strictly increasing.  These
+checks are plain Python, so the closed forms that call them load no
+numpy; the functions that build arrays or sample import it themselves.
 
 Weight vectors are plain float64 numpy arrays with non-negative entries
 summing to one.  Sampling uses the classic construction (normalize n
@@ -52,12 +52,10 @@ class RandomSeed:
 
     def __post_init__(self):
         for name in ("seed", "stream"):
-            value = getattr(self, name)
-            integer = isinstance(value, int) and not isinstance(value, bool)
-            if not (integer and 0 <= value <= _MASK64):
-                raise InvalidArgumentsError(
-                    f"{name} must be an integer in [0, 2**64)"
-                )
+            value = as_count(getattr(self, name), name, minimum=0)
+            if value > _MASK64:
+                raise InvalidArgumentsError(f"{name} must be below 2**64")
+            object.__setattr__(self, name, value)  # a Python int, even from numpy
 
     def generator(self) -> np.random.Generator:
         import numpy as np
@@ -78,11 +76,7 @@ class RandomSeed:
 
 def as_seed(seed) -> RandomSeed:
     """Coerce an int or RandomSeed into a RandomSeed."""
-    if isinstance(seed, RandomSeed):
-        return seed
-    if isinstance(seed, Integral) and not isinstance(seed, bool):
-        return RandomSeed(int(seed))
-    raise InvalidArgumentsError(f"cannot interpret {seed!r} as a random seed")
+    return seed if isinstance(seed, RandomSeed) else RandomSeed(seed)
 
 
 def as_count(value, what: str, *, minimum: int = 1, error=InvalidArgumentsError) -> int:
@@ -123,7 +117,7 @@ def _quota_values(quotas) -> list[float]:
     grid = [float(q) for q in quotas]
     # Negated comparisons, so that a NaN quota fails them.
     if not grid or not all(a < b for a, b in zip(grid, grid[1:])):
-        raise InvalidArgumentsError("quota grid must be strictly increasing")
+        raise InvalidArgumentsError("quota grid must be non-empty and strictly increasing")
     if not (0.5 < grid[0] and grid[-1] <= 1.0):
         raise InvalidArgumentsError("quota grid must lie in (1/2, 1]")
     return grid

@@ -141,27 +141,20 @@ def ordered_weight_cdf(n: int, k: int, x: float) -> float:
     return n * math.comb(n - 1, k - 1) * total / (scale * full)
 
 
-def _validate_exponents(m) -> tuple[int, ...]:
-    try:
-        exps = tuple(int(v) for v in m)
-    except TypeError as exc:
-        raise InvalidArgumentsError("exponents must be a sequence of integers") from exc
-    if any(v != float(orig) for v, orig in zip(exps, m)) or any(v < 0 for v in exps):
-        raise InvalidArgumentsError("exponents must be non-negative integers")
-    return exps
-
-
 def product_moment_exact(n: int, m) -> Fraction:
     """Exact E(prod_j W_j^{m_j}) = prod m_j! / (n)_{|m|} as a Fraction."""
     n = as_player_count(n)
-    exps = _validate_exponents(m)
+    try:
+        exps = [as_count(v, "exponent", minimum=0) for v in m]
+    except TypeError as exc:
+        raise InvalidArgumentsError("exponents must be a sequence of integers") from exc
     if len(exps) != n:
         raise InvalidArgumentsError(
             f"exponent vector has length {len(exps)}, expected n={n}"
         )
     total = sum(exps)
     numerator = math.prod(math.factorial(v) for v in exps)
-    return Fraction(numerator, _rising_factorial(n, total))
+    return Fraction(numerator, math.perm(n + total - 1, total))
 
 
 def product_moment(n: int, m) -> float:
@@ -169,17 +162,10 @@ def product_moment(n: int, m) -> float:
     return float(product_moment_exact(n, m))
 
 
-def _rising_factorial(base: int, length: int) -> int:
-    result = 1
-    for i in range(length):
-        result *= base + i
-    return result
-
-
 def power_sum_moment_exact(n: int, m: int) -> Fraction:
     """Exact E(sum_j W_j^m) = m! / (n+1)_{m-1}."""
     n, m = as_player_count(n), as_count(m, "moment order m")
-    return Fraction(math.factorial(m), _rising_factorial(n + 1, m - 1))
+    return Fraction(math.factorial(m), math.perm(n + m - 1, m - 1))
 
 
 def power_sum_moment(n: int, m: int) -> float:

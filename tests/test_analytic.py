@@ -10,7 +10,6 @@ from scipy.stats import norm
 
 from votepower import (
     AccuracyUnsupportedError,
-    ConvergenceFailureError,
     InvalidArgumentsError,
     RandomSeed,
     class_table_n3,
@@ -399,9 +398,10 @@ class TestColemanErrorRatio:
         assert abs(expected_coleman(n, q_normal / ratio) - y) <= 1e-12 * y
 
     def test_zero_target_fails_to_bracket_where_the_range_admits_it(self):
-        # From n = 538 on, 2^-2n underflows and y = 0 passes the range
-        # check; the bracket check comes before the inverse normal CDF.
-        with pytest.raises(ConvergenceFailureError):
+        # 2^-n and 2^-2n underflow from n = 1075 and 538 on, but the range
+        # is the curve's own values, and it comes before the inverse
+        # normal CDF, which y = 0 would fail.
+        with pytest.raises(InvalidArgumentsError, match="reach"):
             coleman_error_ratio(600, 0.0)
 
     def test_out_of_range(self):
@@ -411,10 +411,11 @@ class TestColemanErrorRatio:
             coleman_error_ratio(6, 2.0 ** (-13))
 
     def test_unreachable_target_fails_to_bracket(self):
-        # Values below 2^-n are in the documented domain but not attained
-        # by the curve on (1/2, 1).
-        with pytest.raises(ConvergenceFailureError):
-            coleman_error_ratio(6, 0.0005)
+        # Values below 2^-n, the curve's floor, are outside its reach, and
+        # so is 2^-7 at n = 6, which lies between 2^-2n and 2^-n.
+        for y in (0.0005, 2.0 ** -7):
+            with pytest.raises(InvalidArgumentsError, match="reach"):
+                coleman_error_ratio(6, y)
 
     @pytest.mark.parametrize("n", [6, 30, 1000])
     def test_target_just_under_half_finds_its_root(self, n):
@@ -430,5 +431,49 @@ class TestColemanErrorRatio:
         # At n = 6 the curve at nextafter(1/2, 1) rounds to 2 ulps below
         # 1/2, so the float just below 1/2 has no quota above 1/2.
         assert expected_coleman(6, math.nextafter(0.5, 1.0)) < math.nextafter(0.5, 0.0)
-        with pytest.raises(ConvergenceFailureError, match="just above q = 1/2"):
+        with pytest.raises(InvalidArgumentsError, match="reach"):
             coleman_error_ratio(6, math.nextafter(0.5, 0.0))
+
+    @staticmethod
+    def _ends(n):
+        return (expected_coleman(n, 1.0 - 1e-9),
+                expected_coleman(n, math.nextafter(0.5, 1.0)))
+
+    @pytest.mark.parametrize("n", [1, 6, 30, 1000])
+    def test_the_curve_ends_are_refused(self, n):
+        f_hi, f_lo = self._ends(n)
+        for y in (f_hi, f_lo, math.nextafter(f_hi, 0.0), math.nextafter(f_lo, 1.0), math.nan):
+            if y == 0.5:
+                continue  # 1/2 has its own answer, 1
+            with pytest.raises(InvalidArgumentsError, match="reach"):
+                coleman_error_ratio(n, y)
+
+    @pytest.mark.parametrize("n", [6, 30, 1000])
+    def test_targets_just_inside_the_ends_find_their_root(self, n):
+        f_hi, f_lo = self._ends(n)
+        top = math.nextafter(f_lo, 0.0)
+        if top == 0.5:  # 1/2 has its own answer; take the float below it
+            top = math.nextafter(top, 0.0)
+        for y in (math.nextafter(f_hi, 1.0), top):
+            q_normal = 0.5 - statistics.NormalDist().inv_cdf(y) / math.sqrt(2.0 * (n + 1))
+            ratio = coleman_error_ratio(n, y)
+            # q_normal / ratio may round off the exact quota by an ulp or
+            # two, so look for it among the floats that give the same ratio
+            q = q_normal / ratio
+            near = [q]
+            for _ in range(4):
+                near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], 1.0)]
+            roots = [
+                c for c in near
+                if 0.5 < c < 1.0 and q_normal / c == ratio
+                and expected_coleman(n, c) > y >= expected_coleman(n, math.nextafter(c, 1.0))
+            ]
+            assert roots, (n, y)
+
+    def test_one_player_accepts_only_half(self):
+        # the one-player curve is 1/2 at every quota
+        assert self._ends(1) == (0.5, 0.5)
+        assert coleman_error_ratio(1, 0.5) == 1.0
+        for y in (0.25, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)):
+            with pytest.raises(InvalidArgumentsError, match="reach"):
+                coleman_error_ratio(1, y)

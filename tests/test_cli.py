@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import reference
 import votepower
-from votepower import ConvergenceFailureError, analytic, experiments, games, simplex
-from votepower.cli import main
+from votepower import analytic, experiments, games, simplex
+from votepower.cli import build_parser, main
 from votepower.commands import _CURVE_HEADER, _TABLE_BLOCK, _write_table
 from votepower.floattext import _digits_exponent, float_text as _float_text
 
@@ -105,6 +105,24 @@ class TestUsageErrors:
         code, out, err = run_cli([*command, "--quotas", quotas], capsys)
         assert (code, out) == (2, "")
         assert "InvalidArgumentsError" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["coleman-curve", "--n", "3", "--method", "inversion"],
+            ["power-curve", "--n", "3", "--samples", "16"],
+            ["analytic", "--what", "beta-n2"],
+        ],
+        ids=["coleman-curve", "power-curve", "analytic"],
+    )
+    def test_empty_quota_grid_is_refused(self, tmp_path, capsys, command):
+        # an empty value is a grid with no quota, not an absent option
+        config = tmp_path / "votepower.conf"
+        config.write_text("quotas=\n")
+        for argv in ([*command, "--quotas="], ["--config", str(config), *command]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert "InvalidArgumentsError: quota grid must be non-empty" in err
 
     @pytest.mark.parametrize(
         "what,n",
@@ -254,15 +272,6 @@ class TestIndices:
         assert payload["optimal_quota_printed_exceeds_one"] is True
         assert payload["optimal_quota_sqrt"] == pytest.approx(0.75, abs=1e-12)
 
-    def test_workers_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("VOTEPOWER_WORKERS", "2")
-        code, out, _ = run_cli(
-            ["coleman-curve", "--n", "2", "--method", "mc", "--quotas", "0.75",
-             "--samples", "256"],
-            capsys,
-        )
-        assert code == 0
-        assert "coleman" in out
 
 
 class TestColemanCurve:
@@ -318,31 +327,17 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["hoeffding_bound"] * 2
 
-    def test_convergence_error(self, capsys, monkeypatch):
-        def stalled(n, q):
-            raise ConvergenceFailureError("no convergence")
-
-        monkeypatch.setattr(analytic, "expected_coleman", stalled)
-        code, _, err = run_cli(["coleman-curve", "--n", "6", "--quota", "0.51"], capsys)
-        assert code == 3
-        assert "ConvergenceFailureError" in err
-
     def test_usage_error(self, capsys):
         code, _, err = run_cli(
             ["indices", "--weights", "0.5,0.5", "--quota", "0.4"], capsys
         )
         assert code == 2
 
-    def test_unparsable_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("VOTEPOWER_WORKERS", "two")
-        code, _, err = run_cli(
-            ["power-curve", "--n", "3", "--samples", "16", "--quotas", "0.6"], capsys
-        )
-        assert code == 2
+    def test_output_into_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "absent" / "out.csv"
+        code, out, err = run_cli(["expected-weights", "--n", "3", "--output", str(target)], capsys)
+        assert (code, out) == (1, "")
         assert err.startswith("error:")
-        # Commands without a worker count do not read the variable.
-        code, _, _ = run_cli(["expected-weights", "--n", "3"], capsys)
-        assert code == 0
 
     def test_negative_worker_count(self, capsys):
         code, out, err = run_cli(
@@ -617,7 +612,7 @@ class TestImport:
 
 
 PUBLIC_NAMES = """
-AccuracyUnsupportedError BudgetExceededError ClassTable ConvergenceFailureError
+AccuracyUnsupportedError BudgetExceededError ClassTable
 DegenerateDistributionError Extremum GameClass GameClassCatalog GameClassInfo
 InvalidArgumentsError InvalidDimensionError InvalidRankError
 PiecewisePolynomialCurve PowerProfile QuotaCurve RandomSeed SplineFit StepCurve
@@ -777,6 +772,23 @@ class TestDeterminismAndRoundTrip:
         assert code == 0
         row = out_csv.read_text().strip().splitlines()[1]
         assert row.split(",")[4] == "64"
+
+    def test_config_sets_the_worker_default(self, tmp_path, capsys, monkeypatch):
+        # the flag's default is one worker, a config line changes it, and
+        # no environment variable does
+        monkeypatch.setenv("VOTEPOWER_WORKERS", "two")
+        argv = ["power-curve", "--n", "3", "--samples", "16", "--quotas", "0.6"]
+        assert build_parser().parse_args(argv).workers == 1
+        assert build_parser({"workers": "2"}, "power-curve").parse_args(argv).workers == 2
+        config = tmp_path / "votepower.conf"
+        config.write_text("workers=2\n")
+        code, out, _ = run_cli(["--config", str(config), *argv], capsys)
+        assert code == 0
+        assert out == run_cli(argv, capsys)[1]
+        config.write_text("workers=0\n")
+        code, out, err = run_cli(["--config", str(config), *argv], capsys)
+        assert (code, out) == (2, "")
+        assert "worker count must be at least 1" in err
 
     @pytest.mark.parametrize(
         "setting,command",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,6 +190,7 @@ INTEGER_CALLS = {
     "max_degree": lambda v: votepower.fit_spline(*_SERIES, max_degree=v),
     "max_breakpoints": lambda v: votepower.fit_spline(*_SERIES, 1, max_breakpoints=v),
     "expected_beta_curve": lambda v: votepower.class_table_n3().expected_beta_curve(v),
+    "exponent": lambda v: votepower.product_moment(2, (v, 1)),
 }
 
 
@@ -235,6 +237,25 @@ class TestInputContract:
             with pytest.raises(InvalidRankError):
                 call(3, k)
         call(3, np.int64(2))
+
+    @pytest.mark.parametrize("exponents", [(2.0, 1.0), ("2", "1"), (np.float64(2), 1)])
+    def test_exponents_must_be_integers(self, exponents):
+        for call in (votepower.product_moment, votepower.product_moment_exact):
+            with pytest.raises(InvalidArgumentsError, match="exponent must be an integer"):
+                call(2, exponents)
+
+    def test_numpy_integer_exponents(self):
+        exact = votepower.product_moment_exact
+        assert exact(2, (np.int64(2), 1)) == exact(2, (2, 1)) == Fraction(1, 12)
+
+    def test_seed_takes_numpy_integers_below_2_64(self):
+        seed = RandomSeed(np.int64(3), np.uint64(2 ** 64 - 1))
+        assert (type(seed.seed), seed.seed) == (int, 3)
+        assert (type(seed.stream), seed.stream) == (int, 2 ** 64 - 1)
+        assert simplex.as_seed(np.int64(3)) == RandomSeed(3)
+        for name in ("seed", "stream"):
+            with pytest.raises(InvalidArgumentsError, match=f"{name} must be below 2\\*\\*64"):
+                RandomSeed(**{name: 2 ** 64})
 
     def test_rank_error_is_an_argument_error(self):
         assert issubclass(InvalidRankError, InvalidArgumentsError)
