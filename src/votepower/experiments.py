@@ -84,7 +84,7 @@ def _square_sum_chunk(n: int, seed, chunk_index: int, count: int) -> np.ndarray:
     rng = as_seed(seed).substream(chunk_index).generator()
     rows = max(1, _TILE_CELL_BUDGET // n)
     blocks = (_simplex_rows(rng, n, min(rows, count - i)) for i in range(0, count, rows))
-    return np.concatenate([np.square(np.sort(w)[:, ::-1]).sum(axis=1) for w in blocks])
+    return np.concatenate([games._square_sums(np.sort(w)[:, ::-1]) for w in blocks])
 
 
 class _Accumulator:
@@ -214,13 +214,12 @@ def _check_kernel_budget(n: int) -> None:
         )
 
 
-def _hoeffding_values(ssq, grid, scratch=None):
+def _hoeffding_slabs(ssq, grid, scratch=None):
     """The Hoeffding bounds of a chunk from each sample's sum of squared
     weights, as one (rows, values) slab holding every row: values is
     (grid, 1, samples), an array of ``scratch`` if one is given."""
     values = games._scratch_array(scratch, "values", grid.size * ssq.size).reshape(grid.size, -1)
-    np.divide(-2.0 * (grid[:, None] - 0.5) ** 2, ssq[None, :], out=values)
-    yield slice(None), np.exp(values, out=values)[:, None]
+    yield slice(None), games._hoeffding_values(ssq, grid, out=values)[:, None]
 
 
 def _run_chunks(worker, samples: int, workers: int):
@@ -324,7 +323,7 @@ def mc_hoeffding_curve(
     """
     n, samples, workers = _mc_counts(n, samples, workers)
     return _mc_curves(
-        n, quotas, samples, seed, workers, _hoeffding_values, ["hoeffding_bound"],
+        n, quotas, samples, seed, workers, _hoeffding_slabs, ["hoeffding_bound"],
         method="hoeffding-bound", draw=_square_sum_chunk,
     )[0]
 
@@ -531,7 +530,7 @@ def _hinge_design(q, center, degree, knots):
     return np.column_stack(columns)
 
 
-def _spline_predict(q, center, degree, base, knots, hinges):
+def _spline_predict(q, center, base, knots, hinges):
     q = np.asarray(q, dtype=np.float64)
     t = q - center
     out = np.zeros_like(t)
@@ -581,7 +580,6 @@ class SplineFit:
         return _spline_predict(
             q,
             self.center,
-            self.degree,
             self.base_coefficients,
             self.interior_breakpoints,
             self.hinge_coefficients,
@@ -679,7 +677,7 @@ def fit_spline(
         running = [a + b for a, b in zip(running, extra)]
         pieces.append(tuple(running))
     residual = float(
-        np.max(np.abs(_spline_predict(q, center, max_degree, base, knots, hinges) - v))
+        np.max(np.abs(_spline_predict(q, center, base, knots, hinges) - v))
     )
     return SplineFit(
         interior_breakpoints=tuple(knots),

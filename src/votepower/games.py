@@ -313,11 +313,26 @@ def dummies(game: VotingGame) -> frozenset[int]:
     return frozenset(np.flatnonzero(banzhaf(game).psi == 0).tolist())
 
 
+def _square_sums(rows):
+    """Each row's sum w^2 over the last axis: numpy's pairwise sum in the
+    row's own order, no BLAS, so a row alone and the same row in a block
+    give the same bits on any CPU."""
+    return np.square(rows).sum(axis=-1)
+
+
+def _hoeffding_values(ssq, quotas, out=None):
+    """The Hoeffding bounds exp(-2 (q - 1/2)^2 / s), one row per quota q
+    and one column per square sum s, written into ``out`` if it is given."""
+    values = np.divide(-2.0 * (quotas[:, None] - 0.5) ** 2, ssq[None, :], out=out)
+    return np.exp(values, out=values)
+
+
 def hoeffding_bound(game: VotingGame) -> float:
-    """Upper bound exp(-2 (q - 1/2)^2 / sum w^2) on the Coleman index."""
-    q = game.quota
-    ssq = float(np.dot(game.weights, game.weights))
-    return math.exp(-2.0 * (q - 0.5) ** 2 / ssq)
+    """Upper bound exp(-2 (q - 1/2)^2 / sum w^2) on the Coleman index, in
+    ``mc_hoeffding_curve``'s arithmetic, so a sample's bound there is this
+    bound of the game it drew; the last bit follows numpy's SIMD ``exp``."""
+    ssq = _square_sums(game.weights[None, :])
+    return float(_hoeffding_values(ssq, np.array([game.quota]))[0, 0])
 
 
 def optimal_quota_diagnostic(weights, variant: str = "sqrt") -> float:
@@ -327,9 +342,11 @@ def optimal_quota_diagnostic(weights, variant: str = "sqrt") -> float:
     variant="printed" returns (1 + 1/s) / 2, reproduced as sometimes quoted;
     since s <= 1 this is >= 1 and cannot be a quota except for a dictator,
     so callers should treat it as a diagnostic, not a usable quota.
+    s is ``_square_sums`` of the weights, so neither variant depends on
+    the CPU or on a BLAS library.
     """
     w = as_weight_vector(weights)
-    ssq = float(np.dot(w, w))
+    ssq = float(_square_sums(w))
     if variant == "sqrt":
         return 0.5 * (1.0 + math.sqrt(ssq))
     if variant == "printed":

@@ -138,7 +138,7 @@ class TestColemanCurve:
         w = _sorted_weight_chunk(n, seed, 0, 1)[0]
         bound = mc_hoeffding_curve(n, grid, samples=1, seed=seed)
         for q, value in zip(grid, bound.mean):
-            assert value == pytest.approx(games.hoeffding_bound(VotingGame(w, q)), rel=1e-12)
+            assert value == games.hoeffding_bound(VotingGame(w, q))
         with pytest.raises(BudgetExceededError):
             mc_coleman_curve(MC_KERNEL_BUDGET + 1, grid, samples=1, seed=seed)
 
@@ -191,7 +191,8 @@ class TestChunkReduction:
 class TestMonteCarloAtTies:
     """With one sample and that sample's own coalition sums as the grid,
     every quota is a tie for some coalition, and each estimator must give
-    the exact profile of the game it drew, bit for bit."""
+    the exact profile and the Hoeffding bound of the game it drew, bit for
+    bit."""
 
     # n = 8 and 16 are the last counted in uint8 and in uint16.
     @pytest.mark.parametrize("n,seed", [(6, 2), (6, 5), (8, 1), (10, 3), (16, 2)])
@@ -202,12 +203,15 @@ class TestMonteCarloAtTies:
         beta = mc_power_curve(n, grid, samples=1, seed=seed)
         psi = mc_power_curve(n, grid, samples=1, seed=seed, statistic="psi")
         coleman = mc_coleman_curve(n, grid, samples=1, seed=seed)
+        bound = mc_hoeffding_curve(n, grid, samples=1, seed=seed)
         # every quota up to n = 10; 512 of the 32768 at n = 16, ends included
         for g in np.unique(np.linspace(0, grid.size - 1, 512).astype(int)):
-            profile = banzhaf(VotingGame(w, grid[g]))
+            game = VotingGame(w, grid[g])
+            profile = banzhaf(game)
             assert np.array_equal([c.mean[g] for c in beta], np.sort(profile.beta)[::-1])
             assert np.array_equal([c.mean[g] for c in psi], np.sort(profile.psi)[::-1])
             assert coleman.mean[g] == profile.coleman
+            assert bound.mean[g] == games.hoeffding_bound(game)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_sample_at_the_kernel_budget(self, workers):
@@ -220,11 +224,25 @@ class TestMonteCarloAtTies:
         beta = mc_power_curve(n, grid, samples=1, seed=seed, workers=workers)
         psi = mc_power_curve(n, grid, samples=1, seed=seed, statistic="psi", workers=workers)
         coleman = mc_coleman_curve(n, grid, samples=1, seed=seed, workers=workers)
+        bound = mc_hoeffding_curve(n, grid, samples=1, seed=seed, workers=workers)
         for g, q in enumerate(grid):
-            profile = banzhaf(VotingGame(w, q))
+            game = VotingGame(w, q)
+            profile = banzhaf(game)
             assert np.array_equal([c.mean[g] for c in beta], np.sort(profile.beta)[::-1])
             assert np.array_equal([c.mean[g] for c in psi], np.sort(profile.psi)[::-1])
             assert coleman.mean[g] == profile.coleman
+            assert bound.mean[g] == games.hoeffding_bound(game)
+
+    @pytest.mark.parametrize("n", [3, 6, 10, 12, 30])
+    def test_one_sample_hoeffding_equals_the_bound(self, n):
+        # With Sigma w^2 by np.dot and math.exp in hoeffding_bound, 3126 of
+        # these 10000 cells differed in the last bits.
+        grid = default_quota_grid()
+        for seed in range(20):
+            w = _sorted_weight_chunk(n, seed, 0, 1)[0]
+            curve = mc_hoeffding_curve(n, grid, samples=1, seed=seed)
+            bounds = [games.hoeffding_bound(VotingGame(w, q)) for q in grid]
+            assert curve.mean.tolist() == bounds
 
 
 def _digest(curves):

@@ -23,6 +23,7 @@ from votepower.experiments import default_quota_grid
 
 import reference
 from reference import count_winning_naive, is_winning, sample_uniform_simplex
+from test_cli import fresh_interpreter
 
 
 def game(weights, quota):
@@ -417,6 +418,28 @@ class TestHoeffdingBound:
     def test_bound_dominates_coleman(self, n, seed, quota):
         g = VotingGame(sample_uniform_simplex(n, RandomSeed(seed)), quota)
         assert banzhaf(g).coleman <= hoeffding_bound(g) + 1e-15
+
+    # 300 sampled games; with Sigma w^2 taken by np.dot, 126 of them gave
+    # other bits under one of these two OpenBLAS kernels than the other.
+    # Where numpy does not use OpenBLAS the variable is ignored.
+    BLAS_GAMES = (
+        "from votepower import VotingGame, hoeffding_bound, optimal_quota_diagnostic\n"
+        "from votepower.simplex import sample_uniform_simplex_batch\n"
+        "import numpy as np\n"
+        "for n in (2, 3, 5, 8, 13, 21, 38, 64, 100, 250):\n"
+        "    for w, q in zip(sample_uniform_simplex_batch(n, 30, n), np.linspace(0.51, 1, 30)):\n"
+        "        values = (hoeffding_bound(VotingGame(w, q)), optimal_quota_diagnostic(w, 'sqrt'),\n"
+        "                  optimal_quota_diagnostic(w, 'printed'))\n"
+        "        print(*map(float.hex, values))\n"
+    )
+
+    def test_fixed_game_outputs_do_not_follow_the_blas_kernel(self):
+        prescott, sandybridge = (
+            fresh_interpreter(self.BLAS_GAMES, OPENBLAS_CORETYPE=kernel).stdout.splitlines()
+            for kernel in ("Prescott", "Sandybridge")
+        )
+        assert len(prescott) == 300
+        assert prescott == sandybridge
 
 
 class TestQuotaCurve:
