@@ -10,10 +10,12 @@ only on (seed, stream, i), so shorter runs are prefixes of longer ones.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,8 +37,8 @@ MC_KERNEL_BUDGET = 18          # vectorized per-sample enumeration cap
 _SUM_CELL_BUDGET = 1 << 22
 # Cells a tile of counting holds: per sample its 2^n sums, which become its
 # bin keys, and its histogram entries; or a block of Hoeffding weight rows;
-# or a slab of index values, some quota levels of a block.  It sets only
-# cache residency and memory.
+# or a slab of index values, some quota levels of a block; or a stack of
+# spline designs.  It sets only cache residency and memory.
 _TILE_CELL_BUDGET = 1 << 18
 
 
@@ -523,67 +525,118 @@ def count_extrema(curve, smoothing_window: int = 5):
 # spline fitting
 
 def _hinge_design(q, center, degree, knots):
-    columns = [(q - center) ** p for p in range(degree + 1)]
+    """The fit's basis at the grid ``q``, one row per function: (q -
+    center)^p for p = 0..degree, then (q - knot)_+^d for d = 1..degree per
+    knot.  Powers are repeated products, which IEEE rounds alike on every
+    CPU, as numpy's SIMD ``**`` does not."""
+
+    def powers(x, first):
+        out = [np.ones_like(x)]
+        for _ in range(degree):
+            out.append(out[-1] * x)
+        return out[first:]
+
+    rows = powers(q - center, 0)
     for bp in knots:
-        hinge = np.maximum(q - bp, 0.0)
-        columns.extend(hinge ** d for d in range(1, degree + 1))
-    return np.column_stack(columns)
+        rows += powers(np.maximum(q - bp, 0.0), 1)
+    return np.stack(rows)
 
 
-def _spline_predict(q, center, base, knots, hinges):
-    q = np.asarray(q, dtype=np.float64)
-    t = q - center
-    out = np.zeros_like(t)
-    for power, c in enumerate(base):
-        out += c * t ** power
-    for bp, coeffs in zip(knots, hinges):
-        hinge = np.maximum(q - bp, 0.0)
-        for d, c in enumerate(coeffs, start=1):
-            out += c * hinge ** d
-    return out
+def _least_squares(designs, v):
+    """Householder QR of [design | v] for each design of a stack.
+
+    ``designs`` is (fits, cols, rows), each design transposed, so that every
+    sum runs along a contiguous last axis and a fit's bits do not depend on
+    the other fits in its stack.  Returns the triangles, (fits, cols + 1,
+    rows) with R[i, j] at [j, i] and the rotated v in the last row, and
+    each fit's RMS residual: the norm of the rotated v below the triangle
+    over sqrt(rows), or inf where a zero pivot leaves R singular.  Only
+    elementwise arithmetic, sums along an axis, ``sqrt`` and ``copysign``
+    are used, which no BLAS, LAPACK or SIMD kernel changes.
+    """
+    fits, cols, rows = designs.shape
+    a = np.empty((fits, cols + 1, rows))
+    a[:, :cols] = designs
+    a[:, cols] = v
+    for k in range(cols):
+        x = a[:, k, k:]
+        alpha = -np.copysign(np.sqrt(np.sum(x * x, axis=-1)), x[:, 0])
+        # x becomes the reflector u = x - alpha e1, and H y = y + u (u.y) /
+        # (alpha u_0); a column that is already zero is left alone.
+        x[:, 0] -= alpha
+        denom = alpha * x[:, 0]
+        scale = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom != 0)
+        rest = a[:, k + 1:, k:]
+        dots = np.sum(rest * x[:, None, :], axis=-1) * scale[:, None]
+        rest += dots[:, :, None] * x[:, None, :]
+        x[:, 0] = alpha
+        x[:, 1:] = 0.0
+    tail = a[:, cols, cols:]
+    rms = np.sqrt(np.sum(tail * tail, axis=-1) / rows)
+    pivots = np.diagonal(a[:, :cols, :cols], axis1=1, axis2=2)
+    return a, np.where(np.all(pivots != 0, axis=-1), rms, np.inf)
 
 
-def _lstsq_fit(q, v, center, degree, knots):
-    design = _hinge_design(q, center, degree, knots)
-    coef, _, _, _ = np.linalg.lstsq(design, v, rcond=None)
-    residual = design @ coef - v
-    return coef, float(np.sqrt(np.mean(residual * residual)))
+def _back_substitute(triangle):
+    """The coefficients c of R c = y for one fit's nonsingular triangle."""
+    cols = triangle.shape[0] - 1
+    coef = np.zeros(cols)
+    for i in reversed(range(cols)):
+        known = np.sum(triangle[i + 1:cols, i] * coef[i + 1:])
+        coef[i] = (triangle[cols, i] - known) / triangle[i, i]
+    return coef
 
 
-def _shifted_poly(coeffs, shift, degree):
-    """Ascending-power coefficients of sum_d coeffs[d] (q - shift)^d."""
-    out = [0.0] * (degree + 1)
-    for d, c in enumerate(coeffs):
-        for i in range(d + 1):
-            out[i] += c * math.comb(d, i) * (-shift) ** (d - i)
-    return out
+def _pieces(coef, center, degree, knots):
+    """Each interval's ascending-power coefficients of the truncated-power
+    fit ``coef``, expanded exactly and rounded once."""
+    coef = [Fraction(float(c)) for c in coef]
+    terms = [(Fraction(float(center)), coef[: degree + 1])]
+    for j, bp in enumerate(knots):
+        start = degree + 1 + j * degree
+        terms.append((Fraction(bp), [0] + coef[start: start + degree]))
+    running = [Fraction(0)] * (degree + 1)
+    pieces = []
+    for shift, coeffs in terms:
+        # sum_d coeffs[d] (q - shift)^d holds on this piece and every later one
+        for d, c in enumerate(coeffs):
+            for i in range(d + 1):
+                running[i] += c * math.comb(d, i) * (-shift) ** (d - i)
+        pieces.append(tuple(float(c) for c in running))
+    return tuple(pieces)
+
+
+def _piece_values(knots, pieces, q):
+    """The pieces at each float of ``q``, exactly, as Fractions: piece i
+    holds on (knot i-1, knot i]."""
+    from .analytic import _poly_eval
+
+    exact = [tuple(map(Fraction, p)) for p in pieces]
+    return [_poly_eval(exact[bisect.bisect_left(knots, x)], Fraction(x)) for x in q]
 
 
 @dataclass(frozen=True)
 class SplineFit:
-    """A continuous piecewise-polynomial least-squares fit.
+    """A continuous piecewise-polynomial least-squares fit, as its pieces.
 
-    The fit basis is a truncated power basis, so adjacent pieces agree at
-    breakpoints by construction.  ``piece_coefficients[i]`` are plain
-    ascending-power coefficients on the i-th interval between breakpoints.
+    ``piece_coefficients[i]`` are plain ascending-power coefficients in q on
+    the i-th interval, (knot i-1, knot i], the outer two unbounded.  They
+    are the solved truncated-power fit expanded exactly and rounded once,
+    so adjacent pieces agree at the knots up to that rounding.
+    ``max_residual`` is the largest |piece(q) - value| over the samples,
+    exact and rounded once, as is every value of ``predict``.
     """
 
     interior_breakpoints: tuple[float, ...]
     degree: int
     piece_coefficients: tuple[tuple[float, ...], ...]
     max_residual: float
-    center: float
-    base_coefficients: tuple[float, ...]
-    hinge_coefficients: tuple[tuple[float, ...], ...]
 
     def predict(self, q) -> np.ndarray:
-        return _spline_predict(
-            q,
-            self.center,
-            self.base_coefficients,
-            self.interior_breakpoints,
-            self.hinge_coefficients,
-        )
+        q = np.asarray(q, dtype=np.float64)
+        knots, pieces = self.interior_breakpoints, self.piece_coefficients
+        exact = _piece_values(knots, pieces, q.ravel().tolist())
+        return np.array(exact, dtype=np.float64).reshape(q.shape)
 
 
 def fit_spline(
@@ -599,8 +652,16 @@ def fit_spline(
     ``breakpoints`` is either an explicit list of interior knots or
     "auto", which scans knot candidates on the sample grid and keeps
     adding knots while the penalized RMS residual (rms + penalty per
-    knot) improves.  Every candidate piece must contain at least
-    max_degree + 2 sample points.
+    knot) improves; in each round the first candidate of minimal RMS is
+    tried.  ``penalty`` must be finite and >= 0.  Every candidate piece
+    must contain at least max_degree + 2 sample points.
+
+    Every least-squares problem is one ``_least_squares`` call, a
+    Householder QR in elementwise float arithmetic, so the fit's bits do
+    not depend on the CPU or on which BLAS or SIMD kernel numpy picks.
+    The search reads each candidate's RMS off its QR, a round's candidates
+    stacked within ``_TILE_CELL_BUDGET`` cells, and coefficients are
+    solved only for the chosen knots.
     """
     q = np.asarray(quotas, dtype=np.float64).reshape(-1)
     v = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -611,12 +672,19 @@ def fit_spline(
         raise InvalidArgumentsError("sample grid must be strictly increasing")
     max_degree = as_count(max_degree, "max_degree", minimum=0)
     max_breakpoints = as_count(max_breakpoints, "max_breakpoints", minimum=0)
+    penalty = float(penalty)
+    # A negated comparison, so that a NaN penalty fails it.
+    if not (0.0 <= penalty < math.inf):
+        raise InvalidArgumentsError(f"penalty must be finite and >= 0, got {penalty!r}")
     min_pts = max_degree + 2
     if q.size < min_pts:
         raise InvalidArgumentsError(
             f"need at least {min_pts} sample points for degree {max_degree}"
         )
     center = 0.5 * (q[0] + q[-1])
+
+    def design(knots):
+        return _hinge_design(q, center, max_degree, knots)
 
     def piece_sizes(knots):
         edges = [q[0] - 1.0] + list(knots) + [q[-1] + 1.0]
@@ -626,29 +694,25 @@ def fit_spline(
         ]
 
     if breakpoints == "auto":
-        chosen: list[float] = []
-        coef, rms = _lstsq_fit(q, v, center, max_degree, chosen)
-        best = (rms, chosen, coef)
+        knots: list[float] = []
+        rms = _least_squares(design(knots)[None], v)[1][0]
         candidates = [float(x) for x in q[min_pts - 1: q.size - min_pts]]
         for _ in range(max_breakpoints):
-            trial = None
-            for cand in candidates:
-                if cand in best[1]:
-                    continue
-                knots = sorted(best[1] + [cand])
-                if min(piece_sizes(knots)) < min_pts:
-                    continue
-                coef, rms = _lstsq_fit(q, v, center, max_degree, knots)
-                if trial is None or rms < trial[0]:
-                    trial = (rms, knots, coef)
-            if trial is None:
+            trials = [sorted(knots + [cand]) for cand in candidates if cand not in knots]
+            trials = [t for t in trials if min(piece_sizes(t)) >= min_pts]
+            if not trials:
                 break
+            cells = (max_degree + 2 + max_degree * len(trials[0])) * q.size
+            batch = max(1, _TILE_CELL_BUDGET // cells)
+            trial_rms = np.concatenate([
+                _least_squares(np.stack([design(t) for t in trials[i:i + batch]]), v)[1]
+                for i in range(0, len(trials), batch)
+            ])
+            best = int(np.argmin(trial_rms))
             # A new knot must pay for itself under the penalty.
-            if trial[0] + penalty * len(trial[1]) < best[0] + penalty * len(best[1]):
-                best = trial
-            else:
+            if not trial_rms[best] + penalty * len(trials[best]) < rms + penalty * len(knots):
                 break
-        _, knots, coef = best
+            knots, rms = trials[best], trial_rms[best]
     else:
         knots = sorted(float(b) for b in breakpoints)
         if any(b <= q[0] or b >= q[-1] for b in knots):
@@ -657,34 +721,17 @@ def fit_spline(
             raise InvalidArgumentsError(
                 "each piece needs at least max_degree + 2 sample points"
             )
-        coef, _ = _lstsq_fit(q, v, center, max_degree, knots)
 
-    base = tuple(float(c) for c in coef[: max_degree + 1])
-    hinges = tuple(
-        tuple(
-            float(c)
-            for c in coef[
-                max_degree + 1 + j * max_degree: max_degree + 1 + (j + 1) * max_degree
-            ]
-        )
-        for j in range(len(knots))
-    )
-    pieces = []
-    running = _shifted_poly(base, center, max_degree)
-    pieces.append(tuple(running))
-    for bp, hcoef in zip(knots, hinges):
-        extra = _shifted_poly([0.0] + list(hcoef), bp, max_degree)
-        running = [a + b for a, b in zip(running, extra)]
-        pieces.append(tuple(running))
-    residual = float(
-        np.max(np.abs(_spline_predict(q, center, base, knots, hinges) - v))
-    )
+    triangles, rms = _least_squares(design(knots)[None], v)
+    if rms[0] == math.inf:
+        # Only a power that underflows to 0 on the whole grid leaves a zero pivot.
+        raise InvalidArgumentsError("the spline basis is singular on this sample grid")
+    pieces = _pieces(_back_substitute(triangles[0]), center, max_degree, knots)
+    exact = _piece_values(knots, pieces, q.tolist())
+    residual = max(abs(p - Fraction(x)) for p, x in zip(exact, v.tolist()))
     return SplineFit(
         interior_breakpoints=tuple(knots),
         degree=max_degree,
-        piece_coefficients=tuple(pieces),
-        max_residual=residual,
-        center=center,
-        base_coefficients=base,
-        hinge_coefficients=hinges,
+        piece_coefficients=pieces,
+        max_residual=float(residual),
     )

@@ -758,6 +758,41 @@ class TestDeterminismAndRoundTrip:
         assert out == ""
         assert "InvalidArgumentsError" in err
 
+    @pytest.mark.parametrize(
+        "penalty, code", [("0", 0), ("1e300", 0), ("nan", 2), ("inf", 2), ("-inf", 2),
+                          ("-1e-300", 2)])
+    def test_spline_fit_penalty_edges(self, tmp_path, capsys, penalty, code):
+        # a NaN or infinite penalty would switch the knot search off
+        curve_path = tmp_path / "beta2.csv"
+        assert run_cli(["analytic", "--what", "beta-n2", "--output", str(curve_path)],
+                       capsys)[0] == 0
+        got, out, err = run_cli(
+            ["spline-fit", "--input", str(curve_path), "--max-degree", "1",
+             f"--penalty={penalty}"],
+            capsys,
+        )
+        assert got == code
+        if code:
+            assert out == "" and "penalty must be finite and >= 0" in err
+
+    def test_spline_fit_does_not_follow_the_cpu_kernels(self, tmp_path, capsys):
+        # The fit is one Householder QR in elementwise arithmetic, so neither
+        # the OpenBLAS kernel (ignored where numpy does not use OpenBLAS) nor
+        # numpy's SIMD dispatch moves a bit of it.
+        curve_path = tmp_path / "curve.csv"
+        argv = ["power-curve", "--n", "6", "--samples", "8192", "--seed", "7",
+                "--output", str(curve_path)]
+        assert run_cli(argv, capsys)[0] == 0
+        argv = ["spline-fit", "--input", str(curve_path), "--series", "beta_rank_2",
+                "--max-degree", "5"]
+        code = f"from votepower.cli import main; main({argv!r})"
+        hosts = [{"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"}]
+        baseline = _numpy_cpu_baseline()
+        if baseline is not None:
+            hosts.append({"NPY_ENABLE_CPU_FEATURES": " ".join(baseline)})
+        outs = {fresh_interpreter(code, **host).stdout for host in hosts}
+        assert outs == {run_cli(argv, capsys)[1]}
+
     def test_config_file_overrides_defaults(self, tmp_path, capsys):
         config = tmp_path / "votepower.conf"
         config.write_text("samples=64\nseed=9\n")

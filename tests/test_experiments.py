@@ -741,6 +741,81 @@ class TestFitSpline:
         fit = fit_spline(q, v, max_degree=2)
         assert np.max(np.abs(fit.predict(q) - v)) < 1e-11
 
+    def test_predict_takes_the_left_piece_at_a_knot(self):
+        fit = experiments.SplineFit((0.75,), 1, ((0.0, 1.0), (1.0, 1.0)), 0.0)
+        assert fit.predict([0.5, 0.75, 0.8]).tolist() == [0.5, 0.75, 1.8]
+        assert fit.predict(np.array([[0.8]])).shape == (1, 1)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 10), (4, 6, 40), (3, 12, 200)])
+    def test_least_squares_matches_lstsq(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        designs = rng.standard_normal(shape)
+        v = rng.standard_normal(shape[2])
+        triangles, rms = experiments._least_squares(designs, v)
+        for design, triangle, got in zip(designs, triangles, rms):
+            coef, ssr, rank, _ = np.linalg.lstsq(design.T, v, rcond=None)
+            assert rank == shape[1]
+            assert experiments._back_substitute(triangle) == pytest.approx(coef, rel=1e-12)
+            assert got == pytest.approx(math.sqrt(ssr[0] / shape[2]), rel=1e-12)
+
+    def test_a_zero_pivot_gives_an_infinite_rms(self):
+        rng = np.random.default_rng(5)
+        designs = rng.standard_normal((2, 4, 30))
+        designs[1, 2] = 0.0
+        rms = experiments._least_squares(designs, rng.standard_normal(30))[1]
+        assert math.isfinite(rms[0]) and rms[1] == math.inf
+
+    def test_a_basis_that_underflows_is_refused(self):
+        # (q - center)^2 is below the least subnormal on the whole grid
+        q = np.linspace(1e-200, 2e-200, 20)
+        with pytest.raises(InvalidArgumentsError, match="singular"):
+            fit_spline(q, np.sin(q * 1e200), max_degree=2)
+
+    def test_stacked_solve_equals_single_solves(self):
+        # the 87 one-knot candidates of a degree-5 search on the default grid
+        q = default_quota_grid()
+        v = np.sin(9 * q) + 1e-3 * np.random.default_rng(1).standard_normal(q.size)
+        center = 0.5 * (q[0] + q[-1])
+        designs = np.stack(
+            [experiments._hinge_design(q, center, 5, [knot]) for knot in q[6:-7]]
+        )
+        assert len(designs) == 87
+        triangles, rms = experiments._least_squares(designs, v)
+        for design, triangle, got in zip(designs, triangles, rms):
+            one_triangle, one_rms = experiments._least_squares(design[None], v)
+            assert np.array_equal(one_triangle[0], triangle)
+            assert one_rms[0] == got
+
+    def test_max_residual_is_the_exact_residual_of_the_pieces(self):
+        curve = mc_power_curve(6, samples=8192, seed=1)[5]
+        fit = fit_spline(curve.quotas, curve.mean, max_degree=5)
+        worst = Fraction(0)
+        for q, v in zip(curve.quotas.tolist(), curve.mean.tolist()):
+            piece = fit.piece_coefficients[int(np.searchsorted(fit.interior_breakpoints, q))]
+            exact = sum(Fraction(c) * Fraction(q) ** d for d, c in enumerate(piece))
+            worst = max(worst, abs(exact - Fraction(v)))
+        assert fit.max_residual == float(worst)
+
+    def test_readme_curve_keeps_its_knots(self):
+        # README's power-curve and spline-fit pair
+        curve = mc_power_curve(6, samples=65536, seed=1)[1]
+        assert curve.name == "beta_rank_2"
+        fit = fit_spline(curve.quotas, curve.mean, max_degree=5)
+        assert fit.interior_breakpoints == (0.64, 0.775, 0.8500000000000001)
+
+    @pytest.mark.parametrize("penalty", [0.0, 1e300])
+    def test_finite_penalty_is_accepted(self, penalty):
+        q = np.linspace(0.51, 0.99, 97)
+        v = np.where(q <= 0.75, q, 1.5 * q - 0.375)
+        knots = fit_spline(q, v, max_degree=1, penalty=penalty).interior_breakpoints
+        assert (0.75 in knots) if penalty == 0 else knots == ()
+
+    @pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_penalty_must_be_finite_and_non_negative(self, penalty):
+        q = np.linspace(0.51, 0.99, 20)
+        with pytest.raises(InvalidArgumentsError, match="penalty"):
+            fit_spline(q, 1.5 - q, max_degree=1, penalty=penalty)
+
     def test_underdetermined(self):
         with pytest.raises(InvalidArgumentsError):
             fit_spline([0.6, 0.7], [1.0, 2.0], max_degree=1)
