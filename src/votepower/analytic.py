@@ -403,9 +403,13 @@ def expected_coleman(n: int, q: float) -> float:
     binomial outcome j this is the all-positive sum
     2^-n + sum_{j<n-1} P[Bin(n-1, q) = j] 2^-n sum_{j<m<n} C(n, m).
     Each term is exp of its exact integer weight's log plus
-    j log q + (n-1-j) log(1-q), so nothing cancels: values down to 2^-n keep
-    full relative accuracy.  exp, log and log1p are the C library's, so the
-    bits do not depend on which SIMD kernels the CPU offers.  Validated for
+    j log q + (n-1-j) log(1-q), so nothing cancels, but j log q carries
+    log q's rounding error j-fold: against the exact rational mixture
+    rounded once, on 100 quotas spaced evenly on [0.5005, 1], values were
+    up to 395 ulp off at n = 1000, a relative error of 5.5e-14.  exp, log
+    and log1p are the C library's, not numpy's SIMD kernels, but glibc
+    picks FMA variants of exp and log by CPU: with them turned off, 5 of
+    5000 values at n = 6 to 1000 moved by 1 ulp.  Validated for
     n <= COLEMAN_N_MAX (2^-n underflows past n = 1074); q = 1 leaves only
     the grand coalition, 2^-n.
     """

@@ -33,12 +33,15 @@ from .simplex import (
 MC_CHUNK = 4096
 MC_KERNEL_BUDGET = 18          # vectorized per-sample enumeration cap
 # 2^n * block columns.  It fixes the reduction blocks, whose sums, squares
-# and ranges give every output bit, so changing it changes the bits.
+# and ranges give every output bit, so changing it changes the bits.  A
+# block is counted and reduced one leaf of numpy's pairwise summation tree
+# at a time (``_pairwise_tree``), so its size sets no memory.
 _SUM_CELL_BUDGET = 1 << 22
 # Cells a tile of counting holds: per sample its 2^n sums, which become its
-# bin keys, and its histogram entries; or a block of Hoeffding weight rows;
-# or a slab of index values, some quota levels of a block; or a stack of
-# spline designs.  It sets only cache residency and memory.
+# bin keys, and its histogram entries; or a slab of index values or
+# Hoeffding bounds, some quota levels of a leaf; or a stack of spline
+# designs.  A leaf holds as many samples as keep its integer counts within
+# the bytes of one slab.  It sets only cache residency and memory.
 _TILE_CELL_BUDGET = 1 << 18
 
 
@@ -91,28 +94,43 @@ def _square_sum_chunk(n: int, seed, chunk_index: int, count: int) -> np.ndarray:
 
 class _Accumulator:
     """Sum, sum of squares, and range per series; the range lets constant
-    series (for example every statistic at q = 1) finalize exactly."""
+    series (for example every statistic at q = 1) finalize exactly.
+
+    A leaf of samples is taken in by ``add``, one slab at a time.  Merging
+    adds the sums and squares and takes the lower minimum and the higher
+    maximum: it joins a block's leaves up the pairwise tree, then the
+    blocks of a chunk in order, then the chunks in order.
+    """
 
     def __init__(self, shape):
-        self.total = np.zeros(shape)
-        self.total_sq = np.zeros(shape)
-        self.low = np.full(shape, np.inf)
-        self.high = np.full(shape, -np.inf)
+        self.total, self.total_sq, self.low, self.high = np.empty((4, *shape))
+        self.clear()
+
+    def clear(self):
+        """Forget every sample taken in; returns self."""
+        self.total.fill(0.0)
+        self.total_sq.fill(0.0)
+        self.low.fill(np.inf)
+        self.high.fill(-np.inf)
+        return self
 
     def add(self, values, rows):
         """Take in one slab: ``values`` holds the rows ``rows`` (a slice of
         the first axis) with the samples on its last axis, and is squared
         in place."""
         self.total[rows] += values.sum(axis=-1)
-        np.minimum(self.low[rows], values.min(axis=-1), out=self.low[rows])
-        np.maximum(self.high[rows], values.max(axis=-1), out=self.high[rows])
+        # fmin and fmax, which skip numpy's NaN checks, since no value is NaN
+        np.minimum(self.low[rows], np.fmin.reduce(values, axis=-1), out=self.low[rows])
+        np.maximum(self.high[rows], np.fmax.reduce(values, axis=-1), out=self.high[rows])
         self.total_sq[rows] += np.square(values, out=values).sum(axis=-1)
 
     def merge(self, other):
+        """Take in ``other``'s statistics; returns self."""
         self.total += other.total
         self.total_sq += other.total_sq
-        self.low = np.minimum(self.low, other.low)
-        self.high = np.maximum(self.high, other.high)
+        np.minimum(self.low, other.low, out=self.low)
+        np.maximum(self.high, other.high, out=self.high)
+        return self
 
     def finalize(self, samples):
         mean = self.total / samples
@@ -127,31 +145,73 @@ class _Accumulator:
         return mean, stderr
 
 
+def _pairwise_tree(lo, hi, cap, leaf, merge):
+    """``leaf(a, b)`` for each leaf of numpy's pairwise summation tree over
+    the samples [lo, hi), merged up the tree by ``merge(left, right)``.
+
+    numpy sums a contiguous float64 run of L values as pw(h) + pw(L - h),
+    h = L // 2 rounded down to a multiple of 8, down to runs of at most 128
+    that it sums in one loop.  A node of at most max(cap, 128) samples is
+    one leaf here, so sums taken per leaf and added up the tree have the
+    bits of one sum over [lo, hi).
+    """
+    if hi - lo <= max(cap, 128):
+        return leaf(lo, hi)
+    half = (hi - lo) // 2
+    half -= half % 8
+    left = _pairwise_tree(lo, lo + half, cap, leaf, merge)
+    return merge(left, _pairwise_tree(lo + half, hi, cap, leaf, merge))
+
+
+def _count_dtype(n: int):
+    """The smallest unsigned dtype that holds 2^n - 1 winning coalitions
+    (the empty coalition never wins)."""
+    return np.min_scalar_type((1 << n) - 1)
+
+
+def _suffix_sums(counts):
+    """Turn per-level histograms (the first axis) in place into sums from
+    each level to the top, in about 3 sqrt(levels) calls rather than one
+    per level.  Above a head of fewer than s levels, the levels form groups
+    of s: each group is summed from its top down, all groups at once; then
+    each group, from the top one down, adds the first level of the group
+    above it; then the head is summed level by level."""
+    size = math.isqrt(len(counts))
+    head = len(counts) % size
+    groups = counts[head:].reshape(-1, size, *counts.shape[1:])
+    for j in range(size - 2, -1, -1):
+        groups[:, j] += groups[:, j + 1]
+    for b in range(len(groups) - 2, -1, -1):
+        groups[b] += groups[b + 1, 0]
+    for g in range(head - 1, -1, -1):
+        counts[g] += counts[g + 1]
+
+
 def _power_values(weights, grid, statistic, scratch=None):
     """Per-sample index values over the grid, as (rows, values) slabs: rows
-    is a slice of the grid, and values is (levels, n, block) profiles,
-    largest first, or (levels, 1, block) for coleman, for one accumulation
-    block of ``_SUM_CELL_BUDGET >> n`` samples.
+    is a slice of the grid, and values is (levels, n, samples) profiles,
+    largest first, or (levels, 1, samples) for coleman, for the samples of
+    ``weights``.  The Monte Carlo run gives it one leaf of a reduction block
+    at a time (see ``_mc_curves``).
 
-    A block is counted in tiles, each as many samples as keep its
+    The samples are counted in tiles, each as many samples as keep its
     coalition sums, bin keys and histogram within ``_TILE_CELL_BUDGET``
     cells; every sample's counts are computed on its own, so the tiling
     changes no bit.  Each tile's per-level histograms
-    (``games._level_histograms``) go into its columns of the block's
-    integer counts, of the smallest unsigned dtype that holds 2^n - 1 (the
-    empty coalition never wins), and once the block is filled one suffix
-    pass over the levels, from the top down, turns them into winning
-    counts.  Block rows hold (1 + n) x block cells, so a row loop is the
-    cheap way to take it.  The counts are then turned into values a slab
-    of levels at a time, as many as keep the slab's values within
-    ``_TILE_CELL_BUDGET`` cells, so the slab is reduced while in cache: a
-    slab's counts are copied to float64, which holds them exactly, and
+    (``games._level_histograms``) go into its columns of the samples'
+    integer counts, of ``_count_dtype(n)``, and once all are filled one
+    suffix pass over the levels, from the top down, turns them into winning
+    counts.  The counts are then turned into values a slab of levels at a
+    time, as many as keep the slab's values within ``_TILE_CELL_BUDGET``
+    cells, so the slab is reduced while in cache: a slab's counts are
+    copied to float64, which holds them exactly, and
     ``games._index_values`` writes the values over the member counts (over
     omega for coleman).  The weights come sorted descending and swings are
     monotone in weight, so profiles normally are already in rank order; a
-    slab with any profile out of order is sorted.  Sorting the values gives
-    the bits that sorting the swings would, since each profile is divided
-    by one positive constant.
+    slab with any profile out of order is sorted, negated so that an
+    ascending sort in place gives descending order.  Sorting the values
+    gives the bits that sorting the swings would, since each profile is
+    divided by one positive constant.
 
     With a ``scratch`` (see ``games._scratch_array``) the tile table, the
     counts, the slabs and the counting arrays are its arrays, reused call
@@ -162,41 +222,42 @@ def _power_values(weights, grid, statistic, scratch=None):
     members = statistic != "coleman"
     series = n if members else 1
     per_column = (1 << n) + (grid.size + 1) * series
-    block = max(1, _SUM_CELL_BUDGET >> n)
-    width = min(block, len(weights), max(1, _TILE_CELL_BUDGET // per_column))
+    width = min(len(weights), max(1, _TILE_CELL_BUDGET // per_column))
     # each tile's sums, then its bin keys
     table = games._scratch_array(scratch, "table", width << n)
-    dtype = np.min_scalar_type((1 << n) - 1)
-    for first in range(0, len(weights), block):
-        samples = weights[first:first + block]
-        # per level: omega, then each player's member count
-        shape = (grid.size, 1 + n if members else 1, len(samples))
-        counts = games._scratch_array(scratch, "counts", math.prod(shape), dtype).reshape(shape)
-        for start in range(0, len(samples), width):
-            tile = samples[start:start + width]
-            sums = games._full_sums(tile.T, out=table[:len(tile) << n])
-            games._level_histograms(sums, grid, counts[:, :, start:start + len(tile)], scratch)
-        for g in range(grid.size - 2, -1, -1):
-            counts[g] += counts[g + 1]
-        levels = max(1, _TILE_CELL_BUDGET // (series * len(samples)))
-        for low in range(0, grid.size, levels):
-            rows = slice(low, low + levels)
-            part = counts[rows]
-            slab = games._scratch_array(scratch, "slab", part.size).reshape(part.shape)
-            np.copyto(slab, part)
-            omega = slab[:, 0]
-            if members:
-                values = slab[:, 1:]
-                games._index_values(n, statistic, omega, values, out=values)
-                in_order = games._scratch_array(scratch, "in_order", omega.size, bool)
-                in_order = in_order.reshape(omega.shape)
-                if not all(np.greater_equal(values[:, k], values[:, k + 1], out=in_order).all()
-                           for k in range(n - 1)):
-                    values[:] = np.sort(values, axis=1)[:, ::-1]
-            else:
-                values = slab
-                games._index_values(n, statistic, omega, out=omega)
-            yield rows, values
+    # per level: omega, then each player's member count
+    shape = (grid.size, 1 + n if members else 1, len(weights))
+    counts = games._scratch_array(scratch, "counts", math.prod(shape), _count_dtype(n))
+    counts = counts.reshape(shape)
+    for start in range(0, len(weights), width):
+        tile = weights[start:start + width]
+        sums = games._full_sums(tile.T, out=table[:len(tile) << n])
+        games._level_histograms(sums, grid, counts[:, :, start:start + len(tile)], scratch)
+    _suffix_sums(counts)
+    levels = max(1, _TILE_CELL_BUDGET // (series * len(weights)))
+    for low in range(0, grid.size, levels):
+        rows = slice(low, low + levels)
+        # series first, so that each series' levels are one contiguous run
+        part = counts[rows].transpose(1, 0, 2)
+        slab = games._scratch_array(scratch, "slab", part.size).reshape(part.shape)
+        np.copyto(slab, part)
+        omega = slab[0]
+        if members:
+            values = slab[1:]
+            # (levels, n, samples), as _index_values takes member counts
+            swings = values.transpose(1, 0, 2)
+            games._index_values(n, statistic, omega, swings, out=swings, scratch=scratch)
+            in_order = games._scratch_array(scratch, "in_order", omega.size, bool)
+            in_order = in_order.reshape(omega.shape)
+            if not all(np.greater_equal(values[k], values[k + 1], out=in_order).all()
+                       for k in range(n - 1)):
+                np.negative(values, out=values)
+                values.sort(axis=0)
+                np.negative(values, out=values)
+        else:
+            values = slab
+            games._index_values(n, statistic, omega, out=omega)
+        yield rows, values.transpose(1, 0, 2)
 
 
 def _mc_counts(n, samples, workers) -> tuple[int, int, int]:
@@ -217,9 +278,9 @@ def _check_kernel_budget(n: int) -> None:
 
 
 def _hoeffding_slabs(ssq, grid, scratch=None):
-    """The Hoeffding bounds of a chunk from each sample's sum of squared
-    weights, as one (rows, values) slab holding every row: values is
-    (grid, 1, samples), an array of ``scratch`` if one is given."""
+    """The Hoeffding bounds from each sample's sum of squared weights, as
+    one (rows, values) slab holding every row: values is (grid, 1,
+    samples), an array of ``scratch`` if one is given."""
     values = games._scratch_array(scratch, "values", grid.size * ssq.size).reshape(grid.size, -1)
     yield slice(None), games._hoeffding_values(ssq, grid, out=values)[:, None]
 
@@ -247,7 +308,8 @@ def _reduce(partials):
 
 
 def _mc_curves(
-    n, quotas, samples, seed, workers, values, names, method="mc", draw=_sorted_weight_chunk
+    n, quotas, samples, seed, workers, values, names, method="mc",
+    draw=_sorted_weight_chunk, block=None, level_bytes=8,
 ):
     """The Monte Carlo run shared by the ``mc_*`` estimators.
 
@@ -255,8 +317,18 @@ def _mc_curves(
     descending-sorted weight vectors, one row per sample, and
     ``values(samples, grid, scratch=scratch)`` maps them to (rows, values)
     slabs: rows is a slice of the grid, and values is (levels, names,
-    samples), one curve per name.  Each chunk's accumulator has the full
-    (grid, names) shape and takes in the slabs as they come.  ``scratch``
+    samples), one curve per name.
+
+    A chunk is reduced in blocks of ``block`` samples (None: the whole
+    chunk): each (quota, name) series is summed pairwise over a block.  No
+    block is held whole.  ``_pairwise_tree`` walks it in leaves of at most
+    ``8 * _TILE_CELL_BUDGET // (levels * level_bytes)`` samples, or 128 if
+    that is more, where ``level_bytes`` is what one sample holds per quota
+    level while its leaf is reduced, so a leaf fits in the bytes of one
+    slab.  ``values`` maps one leaf at a time into an accumulator of the
+    full (grid, names) shape; the leaves are merged up the tree, which
+    gives the bits of one pairwise sum over the block, and the blocks are
+    merged in order.  ``scratch``
     is a ``threading.local``, so each worker thread holds its own working
     arrays from chunk to chunk, and they are freed when the call returns.
     The callers have checked n, samples and workers with ``_mc_counts``.
@@ -264,11 +336,27 @@ def _mc_curves(
     grid = as_quota_grid(default_quota_grid() if quotas is None else quotas)
     base = as_seed(seed)
     scratch = threading.local()
+    shape = (grid.size, len(names))
+    cap = 8 * _TILE_CELL_BUDGET // (grid.size * level_bytes)
 
     def worker(index, count):
-        acc = _Accumulator((grid.size, len(names)))
-        for rows, slab in values(draw(n, base, index, count), grid, scratch=scratch):
-            acc.add(slab, rows)
+        chunk = draw(n, base, index, count)
+        spare = []  # merged nodes' accumulators, reused by later leaves
+
+        def leaf(lo, hi):
+            stats = spare.pop().clear() if spare else _Accumulator(shape)
+            for rows, slab in values(chunk[lo:hi], grid, scratch=scratch):
+                stats.add(slab, rows)
+            return stats
+
+        def merge(left, right):
+            spare.append(right)
+            return left.merge(right)
+
+        acc = _Accumulator(shape)
+        step = block or count
+        for first in range(0, count, step):
+            merge(acc, _pairwise_tree(first, min(first + step, count), cap, leaf, merge))
         return acc
 
     mean, stderr = _run_chunks(worker, samples, workers).finalize(samples)
@@ -278,6 +366,19 @@ def _mc_curves(
         QuotaCurve(grid, name, mean[:, k].copy(), stderr[:, k].copy(), counts, dict(meta))
         for k, name in enumerate(names)
     ]
+
+
+def _counted_curves(n, quotas, samples, seed, workers, statistic, names):
+    """``_mc_curves`` over ``_power_values``, in blocks of
+    ``_SUM_CELL_BUDGET >> n`` samples; a leaf's samples hold their integer
+    counts per quota level."""
+    _check_kernel_budget(n)
+    values = functools.partial(_power_values, statistic=statistic)
+    rows = 1 if statistic == "coleman" else 1 + n
+    return _mc_curves(
+        n, quotas, samples, seed, workers, values, names,
+        block=max(1, _SUM_CELL_BUDGET >> n), level_bytes=rows * _count_dtype(n).itemsize,
+    )
 
 
 def mc_power_curve(
@@ -298,10 +399,8 @@ def mc_power_curve(
     if statistic not in ("beta", "psi"):
         raise InvalidArgumentsError(f"unknown statistic {statistic!r}")
     n, samples, workers = _mc_counts(n, samples, workers)
-    _check_kernel_budget(n)
-    values = functools.partial(_power_values, statistic=statistic)
     names = [f"{statistic}_rank_{k + 1}" for k in range(n)]
-    return _mc_curves(n, quotas, samples, seed, workers, values, names)
+    return _counted_curves(n, quotas, samples, seed, workers, statistic, names)
 
 
 def mc_coleman_curve(
@@ -309,9 +408,7 @@ def mc_coleman_curve(
 ) -> QuotaCurve:
     """Monte Carlo mean of the exact per-game Coleman index per quota."""
     n, samples, workers = _mc_counts(n, samples, workers)
-    _check_kernel_budget(n)
-    values = functools.partial(_power_values, statistic="coleman")
-    return _mc_curves(n, quotas, samples, seed, workers, values, ["coleman"])[0]
+    return _counted_curves(n, quotas, samples, seed, workers, "coleman", ["coleman"])[0]
 
 
 def mc_hoeffding_curve(
@@ -321,7 +418,8 @@ def mc_hoeffding_curve(
 
     The bound needs only each sample's sum of squared weights, so unlike
     the enumerating estimators it enumerates nothing, and a chunk's weights
-    are reduced to those sums a block of rows at a time, whatever n.
+    are reduced to those sums a block of rows at a time, whatever n.  The
+    chunk is one reduction block; its bounds are formed a leaf at a time.
     """
     n, samples, workers = _mc_counts(n, samples, workers)
     return _mc_curves(

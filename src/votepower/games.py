@@ -263,17 +263,19 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     return omega, member
 
 
-def _index_values(n: int, statistic: str, omega: np.ndarray, member=None, out=None):
+def _index_values(n: int, statistic: str, omega: np.ndarray, member=None, out=None,
+                  scratch=None):
     """The one map from winning counts to index values, into ``out`` if given.
 
     ``omega``, shape (levels, *games), counts the winning coalitions and
     ``member``, shape (levels, n, *games), those holding each player; it is
     overwritten by the swings 2 member - omega.  coleman is omega 2^-n,
     which is exact, so it has the bits of omega / 2^n; psi is swing / 2^(n-1);
-    beta is swing over its total.  That total is at least 1, so beta needs
-    no guard: the grand coalition wins, the empty one loses, and per-half
-    accumulation of non-negative weights is monotone, so no swing count is
-    negative and some player swings on every chain between the two.
+    beta is swing over its total, which is held in an array of ``scratch``
+    (see ``_scratch_array``) if one is given.  That total is at least 1, so
+    beta needs no guard: the grand coalition wins, the empty one loses, and
+    per-half accumulation of non-negative weights is monotone, so no swing
+    count is negative and some player swings on every chain between the two.
     """
     if statistic == "coleman":
         return np.multiply(omega, 2.0 ** -n, out=out)
@@ -282,7 +284,9 @@ def _index_values(n: int, statistic: str, omega: np.ndarray, member=None, out=No
     swing -= omega[:, None]
     if statistic == "psi":
         return np.divide(swing, float(2 ** (n - 1)), out=out)
-    return np.divide(swing, swing.sum(axis=1, keepdims=True), out=out)
+    total = _scratch_array(scratch, "swing_totals", omega.size, swing.dtype)
+    total = total.reshape(omega.shape[:1] + (1,) + omega.shape[1:])
+    return np.divide(swing, np.sum(swing, axis=1, keepdims=True, out=total), out=out)
 
 
 def _profile_from_counts(n: int, omega: int, member: np.ndarray) -> PowerProfile:

@@ -430,14 +430,57 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
+class TestPairwiseTree:
+    """Per-leaf numpy sums merged up ``_pairwise_tree`` must have the bits
+    of one numpy sum along the last axis, which is how every Monte Carlo
+    block is reduced.  A numpy that split its pairwise sum another way
+    fails here, before any digest does."""
+
+    @staticmethod
+    def _tree_sum(x, cap):
+        def leaf(lo, hi):
+            return x[..., lo:hi].sum(axis=-1)
+
+        return experiments._pairwise_tree(0, x.shape[-1], cap, leaf, np.add)
+
+    def test_every_length(self):
+        # Magnitudes over 16 decades, so that summing in another order
+        # rounds differently.
+        rng = np.random.default_rng(31)
+        data = rng.standard_normal(4200) * 10.0 ** rng.uniform(-8, 8, 4200)
+        for length in range(1, data.size + 1):
+            x = data[:length]
+            for cap in (0, 500):
+                assert self._tree_sum(x, cap).tobytes() == x.sum().tobytes(), (length, cap)
+
+    @pytest.mark.parametrize("length", [4096, 1808, 129])
+    def test_slab_layouts(self, length):
+        # Member rows of a slab laid out (levels, 1 + n, samples), and of
+        # the series-first slab that _power_values reduces, seen as
+        # (levels, n, samples).
+        rng = np.random.default_rng(length)
+        slab = rng.random((7, 7, length)) * 10.0 ** rng.uniform(-8, 8, (7, 7, length))
+        for values in (slab[:, 1:], slab[1:].transpose(1, 0, 2)):
+            for cap in (0, 500, 2048):
+                assert np.array_equal(self._tree_sum(values, cap), values.sum(axis=-1))
+
+
 class TestMonteCarloMemory:
-    """A worker holds one reduction block of integer counts, one slab of
-    values and one tile of counting scratch: not a block's full sum, key
-    and histogram tables, nor a block of float values."""
+    """A worker holds one leaf of a reduction block: its integer counts,
+    which fit in the bytes of one slab of float values, that slab, and one
+    tile of counting scratch.  It holds no block of counts or values, nor
+    a block's sum, key and histogram tables."""
 
     def test_power_curve_n10_two_workers(self):
         peak = _traced_peak(lambda: mc_power_curve(10, samples=8192, workers=2))
-        assert peak <= 48 * 2 ** 20
+        assert peak <= 16 * 2 ** 20
+
+    def test_power_curve_wide_grid_two_workers(self):
+        # A block of counts on this grid is 86 MiB at n = 10; a leaf is
+        # 128 samples.
+        grid = np.linspace(0.5005, 1, 1000)
+        peak = _traced_peak(lambda: mc_power_curve(10, grid, samples=8192, workers=2))
+        assert peak <= 32 * 2 ** 20
 
     def test_power_curve_n6(self):
         peak = _traced_peak(lambda: mc_power_curve(6, samples=65536))
