@@ -201,12 +201,18 @@ def _apply_config(sub: argparse.ArgumentParser, command: str, config: dict) -> N
 
 
 def _load_config(path: str) -> dict:
+    """The key=value lines of a config file; blank lines and lines that
+    start with # are skipped, and any other line without = is an error."""
     out = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise argparse.ArgumentTypeError(
+                    f"config line {number} is not key=value: {line!r}"
+                )
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out

@@ -18,8 +18,9 @@ the five ``_CURVE_HEADER`` columns, built by ``_curve_columns`` for exact
 curves (quota-major, one row per quota and series) and by
 ``_quota_curve_columns`` for Monte Carlo curves (one series after another).
 A CSV float is exactly ``"%.17g" % v``: ``_fmt`` writes a list's, and for
-a numpy column ``floattext`` makes them a block at a time; JSON floats
-keep ``repr``, as ``json.dumps`` writes them.
+a numpy column ``floattext`` makes them a block at a time.  A JSON value,
+a numpy column's included, is the ``json.dumps`` text of its Python value,
+so JSON floats keep ``repr``.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ def _column_text(column, start: int, stop: int, json_text: bool = False):
             return part
         text = {value: json.dumps(value) for value in set(part)}
         return map(text.__getitem__, part)
-    if part.dtype.kind != "f":
+    if json_text or part.dtype.kind != "f":
         return map(json.dumps if json_text else str, part.tolist())
     from .floattext import float_text  # numpy's kernel loads with the first float array
 
-    return float_text(part, json_text)
+    return float_text(part)
 
 
 @contextlib.contextmanager
@@ -254,7 +255,7 @@ def _cmd_moments(args):
     from . import weightdist
 
     rows = []
-    if args.m:
+    if args.m is not None:  # an empty --m= is refused, not read as absent
         exponents = _parse_ints(args.m)
         rows.append(("product_moment", weightdist.product_moment(args.n, exponents)))
     if args.power_sum is not None:
@@ -472,7 +473,9 @@ def _cmd_analytic(args):
     elif what == "cf":
         import numpy as np
 
-        ts = np.array(_parse_floats(args.t)) if args.t else np.linspace(0.0, 20.0, 81)
+        ts = np.linspace(0.0, 20.0, 81) if args.t is None else np.array(_parse_floats(args.t))
+        if not ts.size:  # an empty --t= is refused, not read as absent
+            raise InvalidArgumentsError("--t needs at least one CF argument")
         n = 3 if args.n is None else args.n
         _write_table(args, ("t", "value"), [ts, analytic.coalition_weight_cf(n, ts)])
     else:

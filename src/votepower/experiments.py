@@ -96,23 +96,17 @@ class _Accumulator:
     """Sum, sum of squares, and range per series; the range lets constant
     series (for example every statistic at q = 1) finalize exactly.
 
-    A leaf of samples is taken in by ``add``, one slab at a time.  Merging
-    adds the sums and squares and takes the lower minimum and the higher
-    maximum: it joins a block's leaves up the pairwise tree, then the
-    blocks of a chunk in order, then the chunks in order.
+    Each leaf of samples gets a fresh accumulator, which ``add`` fills one
+    slab at a time.  Merging adds the sums and squares and takes the lower
+    minimum and the higher maximum: it joins a block's leaves up the
+    pairwise tree, then the blocks of a chunk in order, then the chunks in
+    order.
     """
 
     def __init__(self, shape):
-        self.total, self.total_sq, self.low, self.high = np.empty((4, *shape))
-        self.clear()
-
-    def clear(self):
-        """Forget every sample taken in; returns self."""
-        self.total.fill(0.0)
-        self.total_sq.fill(0.0)
-        self.low.fill(np.inf)
-        self.high.fill(-np.inf)
-        return self
+        self.total, self.total_sq = np.zeros((2, *shape))
+        self.low = np.full(shape, np.inf)
+        self.high = np.full(shape, -np.inf)
 
     def add(self, values, rows):
         """Take in one slab: ``values`` holds the rows ``rows`` (a slice of
@@ -169,24 +163,6 @@ def _count_dtype(n: int):
     return np.min_scalar_type((1 << n) - 1)
 
 
-def _suffix_sums(counts):
-    """Turn per-level histograms (the first axis) in place into sums from
-    each level to the top, in about 3 sqrt(levels) calls rather than one
-    per level.  Above a head of fewer than s levels, the levels form groups
-    of s: each group is summed from its top down, all groups at once; then
-    each group, from the top one down, adds the first level of the group
-    above it; then the head is summed level by level."""
-    size = math.isqrt(len(counts))
-    head = len(counts) % size
-    groups = counts[head:].reshape(-1, size, *counts.shape[1:])
-    for j in range(size - 2, -1, -1):
-        groups[:, j] += groups[:, j + 1]
-    for b in range(len(groups) - 2, -1, -1):
-        groups[b] += groups[b + 1, 0]
-    for g in range(head - 1, -1, -1):
-        counts[g] += counts[g + 1]
-
-
 def _power_values(weights, grid, statistic, scratch=None):
     """Per-sample index values over the grid, as (rows, values) slabs: rows
     is a slice of the grid, and values is (levels, n, samples) profiles,
@@ -199,24 +175,26 @@ def _power_values(weights, grid, statistic, scratch=None):
     cells; every sample's counts are computed on its own, so the tiling
     changes no bit.  Each tile's per-level histograms
     (``games._level_histograms``) go into its columns of the samples'
-    integer counts, of ``_count_dtype(n)``, and once all are filled one
-    suffix pass over the levels, from the top down, turns them into winning
-    counts.  The counts are then turned into values a slab of levels at a
-    time, as many as keep the slab's values within ``_TILE_CELL_BUDGET``
-    cells, so the slab is reduced while in cache: a slab's counts are
-    copied to float64, which holds them exactly, and
-    ``games._index_values`` writes the values over the member counts (over
-    omega for coleman).  The weights come sorted descending and swings are
-    monotone in weight, so profiles normally are already in rank order; a
-    slab with any profile out of order is sorted, negated so that an
+    integer counts, of ``_count_dtype(n)``, and once all are filled
+    ``games._suffix_sums``, the suffix pass of the fixed-game quota curve
+    too, turns them into winning counts.  The counts are then turned into
+    values a slab of levels at a time, as many as keep the slab's values
+    within ``_TILE_CELL_BUDGET`` cells, so the slab is reduced while in
+    cache: a slab's counts are copied to float64, which holds them exactly,
+    and ``games._index_values`` writes the values over the member counts
+    (over omega for coleman).  The weights come sorted descending and
+    swings are monotone in weight, so profiles normally are already in rank
+    order; one comparison of each rank with the next finds a slab with any
+    profile out of order, and that slab is sorted, negated so that an
     ascending sort in place gives descending order.  Sorting the values
     gives the bits that sorting the swings would, since each profile is
     divided by one positive constant.
 
     With a ``scratch`` (see ``games._scratch_array``) the tile table, the
-    counts, the slabs and the counting arrays are its arrays, reused call
+    counts, the slabs and the binning arrays are its arrays, reused call
     after call; a slab is then overwritten by the next, so it must be
-    consumed first.
+    consumed first.  The beta totals and the rank-order check take fresh
+    arrays, a slab's size at most.
     """
     n = weights.shape[1]
     members = statistic != "coleman"
@@ -233,7 +211,7 @@ def _power_values(weights, grid, statistic, scratch=None):
         tile = weights[start:start + width]
         sums = games._full_sums(tile.T, out=table[:len(tile) << n])
         games._level_histograms(sums, grid, counts[:, :, start:start + len(tile)], scratch)
-    _suffix_sums(counts)
+    games._suffix_sums(counts)
     levels = max(1, _TILE_CELL_BUDGET // (series * len(weights)))
     for low in range(0, grid.size, levels):
         rows = slice(low, low + levels)
@@ -246,11 +224,8 @@ def _power_values(weights, grid, statistic, scratch=None):
             values = slab[1:]
             # (levels, n, samples), as _index_values takes member counts
             swings = values.transpose(1, 0, 2)
-            games._index_values(n, statistic, omega, swings, out=swings, scratch=scratch)
-            in_order = games._scratch_array(scratch, "in_order", omega.size, bool)
-            in_order = in_order.reshape(omega.shape)
-            if not all(np.greater_equal(values[k], values[k + 1], out=in_order).all()
-                       for k in range(n - 1)):
+            games._index_values(n, statistic, omega, swings, out=swings)
+            if not (values[:-1] >= values[1:]).all():
                 np.negative(values, out=values)
                 values.sort(axis=0)
                 np.negative(values, out=values)
@@ -325,12 +300,12 @@ def _mc_curves(
     ``8 * _TILE_CELL_BUDGET // (levels * level_bytes)`` samples, or 128 if
     that is more, where ``level_bytes`` is what one sample holds per quota
     level while its leaf is reduced, so a leaf fits in the bytes of one
-    slab.  ``values`` maps one leaf at a time into an accumulator of the
-    full (grid, names) shape; the leaves are merged up the tree, which
-    gives the bits of one pairwise sum over the block, and the blocks are
-    merged in order.  ``scratch``
-    is a ``threading.local``, so each worker thread holds its own working
-    arrays from chunk to chunk, and they are freed when the call returns.
+    slab.  ``values`` maps each leaf into a fresh accumulator of the full
+    (grid, names) shape; the leaves are merged up the tree with
+    ``_Accumulator.merge``, which gives the bits of one pairwise sum over
+    the block, and the blocks are merged in order.  ``scratch`` is a
+    ``threading.local``, so each worker thread holds its own working arrays
+    from chunk to chunk, and they are freed when the call returns.
     The callers have checked n, samples and workers with ``_mc_counts``.
     """
     grid = as_quota_grid(default_quota_grid() if quotas is None else quotas)
@@ -341,22 +316,18 @@ def _mc_curves(
 
     def worker(index, count):
         chunk = draw(n, base, index, count)
-        spare = []  # merged nodes' accumulators, reused by later leaves
 
         def leaf(lo, hi):
-            stats = spare.pop().clear() if spare else _Accumulator(shape)
+            stats = _Accumulator(shape)
             for rows, slab in values(chunk[lo:hi], grid, scratch=scratch):
                 stats.add(slab, rows)
             return stats
 
-        def merge(left, right):
-            spare.append(right)
-            return left.merge(right)
-
         acc = _Accumulator(shape)
         step = block or count
         for first in range(0, count, step):
-            merge(acc, _pairwise_tree(first, min(first + step, count), cap, leaf, merge))
+            tree = _pairwise_tree(first, min(first + step, count), cap, leaf, _Accumulator.merge)
+            acc.merge(tree)
         return acc
 
     mean, stderr = _run_chunks(worker, samples, workers).finalize(samples)

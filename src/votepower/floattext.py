@@ -1,6 +1,5 @@
-"""Float text for the CLI's tables: ``"%.17g" % v`` of a whole numpy
-column, made a block at a time by a vectorized kernel, and the JSON text
-of a column.
+"""Float text for the CLI's CSV tables: ``"%.17g" % v`` of a whole numpy
+column, made a block at a time by a vectorized kernel.
 
 ``commands`` imports this module, and with it numpy, on the first float
 array column it writes; a table of Python numbers is written without it.
@@ -11,9 +10,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-
-# json.dumps writes non-finite floats as JavaScript names, finite ones as repr
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 # --------------------------------------------------------------------------
 # "%.17g" in numpy
@@ -175,24 +171,17 @@ def _g17_chunk(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def float_text(values: np.ndarray, json_text: bool = False) -> list[str]:
-    """``format(v, ".17g")`` of every value, or with ``json_text`` its
-    ``json.dumps`` text: ``repr``, or a JavaScript name for a non-finite
-    value.  A run of neighbours with equal bits is formatted once.  Bits,
-    not values, so -0.0 after 0.0 is not merged.
+def float_text(values: np.ndarray) -> list[str]:
+    """``format(v, ".17g")`` of every value.  A run of neighbours with
+    equal bits is formatted once.  Bits, not values, so -0.0 after 0.0 is
+    not merged.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits = values.view(np.int64)
     starts = np.empty(values.size, dtype=bool)
     starts[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    distinct = values[starts]
-    if not json_text:
-        text = _g17(distinct)
-    else:
-        text = list(map(float.__repr__, distinct.tolist()))
-        if not np.isfinite(distinct).all():
-            text = [_JSON_NONFINITE.get(t, t) for t in text]
+    text = _g17(values[starts])
     if len(text) == values.size:
         return text
     return np.array(text, dtype=object)[np.cumsum(starts) - 1].tolist()

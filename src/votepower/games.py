@@ -17,7 +17,9 @@ exact one, ties included.  A fixed game's counts come from the
 meet-in-the-middle counter at every n; the quota curve and the Monte Carlo
 estimators bin the full table of 2^n sums against a grid of levels.  The
 test suite's enumeration oracle compares every coalition on the same
-arithmetic, so the counters must match it bit for bit.  Likewise every
+arithmetic, so the counters must match it bit for bit.  Likewise the
+quota curve and the Monte Carlo estimators turn their per-level histograms
+into winning counts with one suffix pass, ``_suffix_sums``, and every
 kernel turns winning counts into psi, beta and Coleman values with one
 helper, ``_index_values``.
 
@@ -263,19 +265,17 @@ def count_winning_mitm(game: VotingGame) -> tuple[int, np.ndarray]:
     return omega, member
 
 
-def _index_values(n: int, statistic: str, omega: np.ndarray, member=None, out=None,
-                  scratch=None):
+def _index_values(n: int, statistic: str, omega: np.ndarray, member=None, out=None):
     """The one map from winning counts to index values, into ``out`` if given.
 
     ``omega``, shape (levels, *games), counts the winning coalitions and
     ``member``, shape (levels, n, *games), those holding each player; it is
     overwritten by the swings 2 member - omega.  coleman is omega 2^-n,
     which is exact, so it has the bits of omega / 2^n; psi is swing / 2^(n-1);
-    beta is swing over its total, which is held in an array of ``scratch``
-    (see ``_scratch_array``) if one is given.  That total is at least 1, so
-    beta needs no guard: the grand coalition wins, the empty one loses, and
-    per-half accumulation of non-negative weights is monotone, so no swing
-    count is negative and some player swings on every chain between the two.
+    beta is swing over its total.  That total is at least 1, so beta needs
+    no guard: the grand coalition wins, the empty one loses, and per-half
+    accumulation of non-negative weights is monotone, so no swing count is
+    negative and some player swings on every chain between the two.
     """
     if statistic == "coleman":
         return np.multiply(omega, 2.0 ** -n, out=out)
@@ -284,9 +284,7 @@ def _index_values(n: int, statistic: str, omega: np.ndarray, member=None, out=No
     swing -= omega[:, None]
     if statistic == "psi":
         return np.divide(swing, float(2 ** (n - 1)), out=out)
-    total = _scratch_array(scratch, "swing_totals", omega.size, swing.dtype)
-    total = total.reshape(omega.shape[:1] + (1,) + omega.shape[1:])
-    return np.divide(swing, np.sum(swing, axis=1, keepdims=True, out=total), out=out)
+    return np.divide(swing, np.sum(swing, axis=1, keepdims=True), out=out)
 
 
 def _profile_from_counts(n: int, omega: int, member: np.ndarray) -> PowerProfile:
@@ -475,8 +473,8 @@ def _level_histograms(sums: np.ndarray, levels: np.ndarray, out: np.ndarray, scr
     table lookup on cells of width 2^-k.  Row g of ``out`` counts the
     coalitions whose highest winning level is g: series 0 all of them and
     series 1 + i those holding player i, one bincount per series over
-    every game at once.  Suffix sums over the rows, from the top level
-    down, turn them into winning counts; that is left to the caller.
+    every game at once.  ``_suffix_sums`` over the rows, from the top level
+    down, then turns them into winning counts.
     ``out`` is written through views, so it may be a column slice of a
     larger array, of any integer dtype that holds 2^n - 1.  The table is
     overwritten by its bin keys.  A ``scratch`` (see ``_scratch_array``)
@@ -496,6 +494,26 @@ def _level_histograms(sums: np.ndarray, levels: np.ndarray, out: np.ndarray, scr
             np.copyto(selected.reshape(player.shape), player)
         hist = np.bincount(selected.ravel(), minlength=bins * cols).reshape(bins, cols)
         out[:, s] = hist[1:]  # bin 0: wins at no level
+
+
+def _suffix_sums(counts: np.ndarray) -> None:
+    """Turn per-level histograms (the first axis) in place into sums from
+    each level to the top, in about 3 sqrt(levels) calls rather than one
+    per level.  Above a head of fewer than s levels, the levels form groups
+    of s: each group is summed from its top down, all groups at once; then
+    each group, from the top one down, adds the first level of the group
+    above it; then the head is summed level by level.  The counts are
+    integers, so the order of the additions changes no bit.  ``counts``
+    must be C-contiguous, so that the groups are a view of it."""
+    size = math.isqrt(len(counts))
+    head = len(counts) % size
+    groups = counts[head:].reshape(-1, size, *counts.shape[1:])
+    for j in range(size - 2, -1, -1):
+        groups[:, j] += groups[:, j + 1]
+    for b in range(len(groups) - 2, -1, -1):
+        groups[b] += groups[b + 1, 0]
+    for g in range(head - 1, -1, -1):
+        counts[g] += counts[g + 1]
 
 
 def fixed_weight_quota_curve(weights, statistic: str = "beta") -> StepCurve:
@@ -518,7 +536,7 @@ def fixed_weight_quota_curve(weights, statistic: str = "beta") -> StepCurve:
     breakpoints = breakpoints[np.append(True, breakpoints[1:] != breakpoints[:-1])]
     counts = np.empty((breakpoints.size, 1 if statistic == "coleman" else 1 + n), np.int64)
     _level_histograms(sums, breakpoints, counts[:, :, None])
-    np.cumsum(counts[::-1], axis=0, out=counts[::-1])
+    _suffix_sums(counts)
     values = _index_values(n, statistic, counts[:, 0], counts[:, 1:])
     values.setflags(write=False)
     breakpoints.setflags(write=False)

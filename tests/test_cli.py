@@ -125,6 +125,21 @@ class TestUsageErrors:
             assert "InvalidArgumentsError: quota grid must be non-empty" in err
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["moments", "--n", "4", "--m=", "--sum-sq"], "exponent vector has length 0"),
+            (["analytic", "--what", "cf", "--t="], "--t needs at least one"),
+            (["analytic", "--what", "cf", "--t=,"], "--t needs at least one"),
+        ],
+        ids=["moments-m", "cf-t", "cf-t-comma"],
+    )
+    def test_empty_list_options_are_refused(self, capsys, argv, message):
+        # an empty list is a list with no entry, not an absent option
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "InvalidArgumentsError" in err and message in err
+
+    @pytest.mark.parametrize(
         "what,n",
         [("beta-n2", "3"), ("beta-n2", "7"), ("beta-n3", "7"), ("beta-n3", "2"),
          ("class-probs", "4"), ("extrema", "5")],
@@ -886,6 +901,15 @@ class TestDeterminismAndRoundTrip:
         key = setting.partition("=")[0]
         assert err.startswith("error:") and f"config key {key!r}" in err
 
+
+    def test_config_line_without_equals_is_refused(self, tmp_path, capsys):
+        # "workers 2" is not read as a comment: it would run on one worker
+        config = tmp_path / "votepower.conf"
+        config.write_text("# workers\n\nsamples=16\nworkers 2\n")
+        argv = ["power-curve", "--n", "3", "--quotas", "0.6"]
+        code, out, err = run_cli(["--config", str(config), *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "config line 4" in err and "'workers 2'" in err
 
     @pytest.mark.parametrize("spelling", ["separate", "joined"])
     def test_config_read_in_both_spellings(self, tmp_path, capsys, spelling):

@@ -585,6 +585,49 @@ class TestBinning:
         )
 
 
+def _top_down_sums(counts):
+    """Sums from each level to the top, one level at a time."""
+    out = counts.copy()
+    for g in range(len(out) - 2, -1, -1):
+        out[g] += out[g + 1]
+    return out
+
+
+def _histograms(levels, tail, dtype, seed):
+    """Per-level histograms of shape (levels, *tail) whose columns hold at
+    most the dtype's maximum in all, as binned coalitions do."""
+    total = min(int(np.iinfo(dtype).max), 1 << 20)
+    rng = np.random.default_rng(seed)
+    drawn = rng.multinomial(total, np.full(levels + 1, 1 / (levels + 1)), size=tail)
+    return np.moveaxis(drawn[..., 1:], -1, 0).astype(dtype)  # bin 0: wins at no level
+
+
+class TestSuffixSums:
+    """The one suffix pass of the quota curve and the Monte Carlo counts
+    equals the plain top-down loop, at every head and group edge."""
+
+    dtypes = [np.uint8, np.uint16, np.uint32, np.int64]
+    layouts = [(3, 4), (3, 1), (3,)]
+
+    @pytest.mark.parametrize("dtype", dtypes)
+    @pytest.mark.parametrize("tail", layouts, ids=["samples", "one-sample", "no-samples"])
+    def test_every_level_count_to_300(self, dtype, tail):
+        for levels in range(1, 301):
+            counts = _histograms(levels, tail, dtype, levels)
+            expected = _top_down_sums(counts)
+            games._suffix_sums(counts)
+            assert counts.dtype == dtype
+            assert np.array_equal(counts, expected), levels
+
+    @pytest.mark.parametrize("dtype", dtypes)
+    @pytest.mark.parametrize("tail", [(3, 2), (17, 1)], ids=["samples", "n16-curve"])
+    def test_32768_levels(self, dtype, tail):
+        counts = _histograms(32768, tail, dtype, 7)
+        expected = _top_down_sums(counts)
+        games._suffix_sums(counts)
+        assert np.array_equal(counts, expected)
+
+
 class TestOptimalQuotaDiagnostic:
     def test_unknown_variant(self):
         with pytest.raises(InvalidArgumentsError, match="unknown variant"):
