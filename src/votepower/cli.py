@@ -8,7 +8,7 @@ standard library, ``errors`` and ``svgplot``, so ``--help``, a config
 error and any other usage error that argparse reports never load numpy.
 ``main`` imports ``commands`` once the arguments parse, and each handler
 there imports the submodules it calls, so a run loads no others; the
-closed forms load no numpy at all.  Before numpy is imported,
+closed forms, ``analytic`` too, load no numpy.  Before numpy is imported,
 ``OPENBLAS_NUM_THREADS`` defaults to 1 (a value that is already set is
 kept), so no idle BLAS threads spin in the process.
 
@@ -155,15 +155,10 @@ def build_parser(
 
     sub = commands.add_parser("analytic", help="closed-form small-n curves and extrema")
     sub.add_argument(
-        "--what",
-        choices=("beta-n2", "beta-n3", "class-probs", "extrema", "cf"),
-        required=True,
+        "--what", choices=("beta-n2", "beta-n3", "class-probs", "extrema"), required=True
     )
-    sub.add_argument(
-        "--n", type=int, help="2 for beta-n2, 3 for the rest; 1..1000 for cf (default 3)"
-    )
+    sub.add_argument("--n", type=int, help="2 for beta-n2, 3 for the rest")
     sub.add_argument("--quotas", help="comma-separated quota grid")
-    sub.add_argument("--t", help="comma-separated CF arguments")
     _add_output_args(sub)
 
     if config and command in commands.choices:

@@ -4,8 +4,8 @@
 arguments are valid.  Each subcommand is one ``_cmd_*`` handler, found by
 name in ``HANDLERS``; it imports the submodules it calls, and a run loads
 no others.  This module loads no numpy: the closed forms (expected
-weights, densities, moments, the exact and normal Coleman curves and the
-small-n tables) compute and write Python numbers and never import it.
+weights, densities, moments, the exact and normal Coleman curves and
+all of ``analytic``) compute and write Python numbers and never import it.
 
 Results go to stdout or --output as CSV (default) or JSON.  Floats are
 serialized with 17 significant digits so files round-trip losslessly, and
@@ -125,27 +125,36 @@ def _parse_fraction(text: str) -> tuple[int, int]:
     return frac.numerator, frac.denominator
 
 
+def _nonempty(value, option: str, what: str = "at least one weight"):
+    if not value:  # an empty option is refused by name, not read as absent
+        raise InvalidArgumentsError(f"{option} needs {what}")
+    return value
+
+
 def _weights_from_args(args) -> np.ndarray:
     from . import simplex
 
-    if args.weights_csv:
+    if args.weights_csv is not None:
+        path = _nonempty(args.weights_csv, "--weights-csv", "a path")
         import numpy as np
 
-        values = np.loadtxt(args.weights_csv, delimiter=",", ndmin=1)
+        values = np.loadtxt(path, delimiter=",", ndmin=1)
         return simplex.as_weight_vector(values, normalize=True)
-    if args.weights:
-        return simplex.as_weight_vector(_parse_floats(args.weights), normalize=True)
+    if args.weights is not None:
+        weights = _nonempty(_parse_floats(args.weights), "--weights")
+        return simplex.as_weight_vector(weights, normalize=True)
     raise argparse.ArgumentTypeError("no weights given")
 
 
 def _game_from_args(args) -> games.VotingGame:
     from . import games
 
-    if args.weights_int:
+    if args.weights_int is not None:
+        weights = _nonempty(_parse_ints(args.weights_int), "--weights-int")
         if not args.quota_frac:
             raise argparse.ArgumentTypeError("--weights-int requires --quota-frac")
         num, den = _parse_fraction(args.quota_frac)
-        return games.VotingGame.from_integers(_parse_ints(args.weights_int), num, den)
+        return games.VotingGame.from_integers(weights, num, den)
     if args.quota is None:
         raise argparse.ArgumentTypeError("a quota is required")
     return games.VotingGame(_weights_from_args(args), args.quota)
@@ -461,8 +470,8 @@ def _cmd_analytic(args):
     from . import analytic
 
     what = args.what
-    players = {"beta-n2": 2, "cf": None}.get(what, 3)  # the closed forms' player count
-    if players and args.n not in (None, players):
+    players = 2 if what == "beta-n2" else 3
+    if args.n not in (None, players):
         raise InvalidArgumentsError(f"--what {what} has {players} players, not --n {args.n}")
     if what == "extrema":
         rows = [
@@ -470,14 +479,6 @@ def _cmd_analytic(args):
             for e in analytic.extrema_n3()
         ]
         _write_table(args, ("rank", "quota", "quota-exact", "kind"), _row_columns(rows))
-    elif what == "cf":
-        import numpy as np
-
-        ts = np.linspace(0.0, 20.0, 81) if args.t is None else np.array(_parse_floats(args.t))
-        if not ts.size:  # an empty --t= is refused, not read as absent
-            raise InvalidArgumentsError("--t needs at least one CF argument")
-        n = 3 if args.n is None else args.n
-        _write_table(args, ("t", "value"), [ts, analytic.coalition_weight_cf(n, ts)])
     else:
         grid = _quota_grid_from_args(args)
         if what == "class-probs":

@@ -14,7 +14,8 @@ numpy; the functions that build arrays or sample import it themselves.
 Weight vectors are plain float64 numpy arrays with non-negative entries
 summing to one.  Sampling uses the classic construction (normalize n
 independent unit exponentials), with the exponentials drawn by inverse
-CDF so the mapping from uniforms to draws is explicit and portable.
+CDF so the mapping from uniforms to draws is explicit; the next
+paragraph says which of its bits follow the host.
 
 Reproducibility: the bit generator is numpy's counter-based Philox4x64
 keyed directly by ``(seed, stream)``.  Two runs with the same key draw

@@ -69,7 +69,6 @@ class TestUsageErrors:
             ["coleman-curve", "--method", "mc", "--samples", "8"],
             ["coleman-curve", "--method", "hoeffding-bound", "--samples", "8"],
             ["classes", "--budget", "8"],
-            ["analytic", "--what", "cf"],
         ],
         ids=lambda argv: "-".join(argv[:3]),
     )
@@ -126,12 +125,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "argv,message",
-        [
-            (["moments", "--n", "4", "--m=", "--sum-sq"], "exponent vector has length 0"),
-            (["analytic", "--what", "cf", "--t="], "--t needs at least one"),
-            (["analytic", "--what", "cf", "--t=,"], "--t needs at least one"),
-        ],
-        ids=["moments-m", "cf-t", "cf-t-comma"],
+        [(["moments", "--n", "4", "--m=", "--sum-sq"], "exponent vector has length 0")],
+        ids=["moments-m"],
     )
     def test_empty_list_options_are_refused(self, capsys, argv, message):
         # an empty list is a list with no entry, not an absent option
@@ -163,8 +158,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [(["indices", "--weights-int", "5,3,2"], "--weights-int requires --quota-frac"),
-         (["indices", "--weights", "0.5,0.3,0.2"], "a quota is required")],
-        ids=["weights-int-without-quota-frac", "indices-without-quota"],
+         (["indices", "--weights", "0.5,0.3,0.2"], "a quota is required"),
+         # an empty weight option names itself, not a missing quota or weights
+         (["indices", "--weights-int=", "--quota-frac", "1/2"],
+          "--weights-int needs at least one weight"),
+         (["indices", "--weights=", "--quota", "0.6"], "--weights needs at least one weight"),
+         (["indices", "--weights-csv=", "--quota", "0.6"], "--weights-csv needs a path")],
+        ids=["weights-int-without-quota-frac", "indices-without-quota", "empty-weights-int",
+             "empty-weights", "empty-weights-csv"],
     )
     def test_game_without_a_quota(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)
@@ -213,24 +214,6 @@ class TestUsageErrors:
         expected = run_cli(argv, capsys)
         assert expected[0] == 0
         assert run_cli(["--config", str(config), *argv], capsys) == expected
-
-    @pytest.mark.parametrize("ts", ["nan", "0,inf", "1,-inf"])
-    def test_cf_rejects_non_finite_arguments(self, capsys, ts):
-        code, out, err = run_cli(["analytic", "--what", "cf", "--t", ts], capsys)
-        assert (code, out) == (2, "")
-        assert "InvalidArgumentsError" in err and "finite" in err
-
-    @pytest.mark.parametrize("above", [1, 32])
-    def test_cf_above_validated_range(self, capsys, above):
-        n = str(analytic.COLEMAN_N_MAX + above)
-        code, out, err = run_cli(["analytic", "--what", "cf", "--n", n, "--t", "1,108"], capsys)
-        assert (code, out) == (2, "")
-        assert "AccuracyUnsupportedError" in err
-
-    def test_cf_help_names_the_validated_range(self, capsys):
-        code, out, _ = run_cli(["analytic", "--help"], capsys)
-        assert code == 0
-        assert f"1..{analytic.COLEMAN_N_MAX} for cf" in " ".join(out.split())
 
     def test_single_quota_is_a_one_point_grid(self, capsys):
         code, out, err = run_cli(
@@ -490,11 +473,13 @@ class TestImport:
              ["experiments", "games", "numpy"]),
             (["coleman-curve", "--n", "6", "--method", "inversion", "--quota", "1.0"],
              ["experiments", "games", "numpy"]),
+            (["analytic", "--what", "beta-n2"], ["experiments", "games", "numpy"]),
             (["analytic", "--what", "beta-n3"], ["experiments", "games", "numpy"]),
+            (["analytic", "--what", "class-probs"], ["experiments", "games", "numpy"]),
             (["analytic", "--what", "extrema"], ["experiments", "games", "numpy"]),
         ],
         ids=["expected-weights", "density-plot", "moments", "indices", "coleman-inversion",
-             "coleman-single-quota", "beta-n3", "extrema"],
+             "coleman-single-quota", "beta-n2", "beta-n3", "class-probs", "extrema"],
     )
     def test_subcommand_imports_only_what_it_uses(self, tmp_path, argv, absent):
         # votepower submodules by their short names; numpy by its own
@@ -508,16 +493,10 @@ class TestImport:
         assert proc.stdout
         assert proc.stderr.strip() == "0 []"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["analytic", "--what", "cf", "--n", "3", "--t", "1"],
-         ["power-curve", "--n", "3", "--samples", "16"]],
-        ids=["cf", "monte-carlo"],
-    )
-    def test_cf_and_monte_carlo_load_numpy(self, argv):
+    def test_monte_carlo_loads_numpy(self):
         proc = fresh_interpreter(
             "import sys; from votepower.cli import main; "
-            f"code = main({argv!r}); "
+            "code = main(['power-curve', '--n', '3', '--samples', '16']); "
             "print(code, 'numpy' in sys.modules, file=sys.stderr)"
         )
         assert proc.stderr.strip() == "0 True"
@@ -567,16 +546,17 @@ class TestImport:
             "import sys, numpy; print('numpy.polynomial' in sys.modules)"
         ).stdout:
             pytest.skip("importing numpy alone loads numpy.polynomial here")
-        for argv, loaded in [
-            (["coleman-curve", "--n", "12", "--method", "inversion"], "False"),
-            (["analytic", "--what", "cf", "--n", "12"], "True"),
-        ]:
-            proc = fresh_interpreter(
-                "import sys; from votepower.cli import main; "
-                f"code = main({argv!r}); "
-                "print(code, 'numpy.polynomial' in sys.modules, file=sys.stderr)"
-            )
-            assert proc.stderr.strip() == f"0 {loaded}"
+        proc = fresh_interpreter(
+            "import sys; from votepower.cli import main; "
+            "code = main(['coleman-curve', '--n', '12', '--method', 'inversion']); "
+            "print(code, 'numpy.polynomial' in sys.modules, file=sys.stderr)"
+        )
+        assert proc.stderr.strip() == "0 False"
+        proc = fresh_interpreter(
+            "import sys, votepower; votepower.coalition_weight_cf(12, 1.0); "
+            "print('numpy.polynomial' in sys.modules)"
+        )
+        assert proc.stdout.strip() == "True"
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -1369,7 +1349,7 @@ class TestHelpBytes:
         "coleman-curve": "a60a622fa30380c5a81f91084c29ac9b94bfb92329e3a3b13a718bdb67c08e24",
         "classes": "a908c9ed0de063faa8663ef86780fe27bae9ebd8c2cd9767403ec62046d2eb74",
         "spline-fit": "3c60e3b62fa8bd27bce68af35ff3385bfd2be86373ea56eda58ac785e2448c5e",
-        "analytic": "177a34b6bf2bec39a33f7371471e6e2af2f16c7dfa6a92dc05c56e4f98ad7890",
+        "analytic": "27ed82e546fa34405f7633b46d3596c0066a253ca7c049de44c7fcc769251305",
     }
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests taken on Python 3.11")
