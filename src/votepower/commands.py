@@ -138,7 +138,11 @@ def _weights_from_args(args) -> np.ndarray:
         path = _nonempty(args.weights_csv, "--weights-csv", "a path")
         import numpy as np
 
-        values = np.loadtxt(path, delimiter=",", ndmin=1)
+        with open(path, "r", encoding="utf-8") as handle:
+            # blank and comment lines hold no weight, and a file of nothing
+            # else is refused by name, not with numpy's no-data warning
+            lines = [line for line in handle if line.strip() and line.lstrip()[0] != "#"]
+        values = np.loadtxt(_nonempty(lines, "--weights-csv"), delimiter=",", ndmin=1)
         return simplex.as_weight_vector(values, normalize=True)
     if args.weights is not None:
         weights = _nonempty(_parse_floats(args.weights), "--weights")
@@ -446,16 +450,21 @@ def _read_series(path: str, series: str | None):
 
 
 def _csv_series_rows(handle, path: str):
-    """The _SERIES_KEYS fields of each row of a curve CSV, as text."""
+    """The _SERIES_KEYS fields of each row of a curve CSV, as text; blank
+    lines are skipped, and a row short of a field is refused."""
     header = handle.readline().strip().split(",")
     try:
         columns = [header.index(key) for key in _SERIES_KEYS]
     except ValueError as exc:
         raise VotePowerError(f"{path} is not a curve CSV") from exc
-    for line in handle:
-        parts = line.strip().split(",")
-        if len(parts) > max(columns):
-            yield [parts[c] for c in columns]
+    for number, line in enumerate(handle, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) <= max(columns):
+            raise VotePowerError(f"{path} is not a curve CSV: line {number} is short of a field")
+        yield [parts[c] for c in columns]
 
 
 def _json_series_rows(handle, path: str):
@@ -474,6 +483,8 @@ def _cmd_analytic(args):
     if args.n not in (None, players):
         raise InvalidArgumentsError(f"--what {what} has {players} players, not --n {args.n}")
     if what == "extrema":
+        if args.quotas is not None:  # the extrema are points, not a curve over a grid
+            raise InvalidArgumentsError("--what extrema takes no --quotas")
         rows = [
             (e.rank, _fmt(float(e.location)), str(e.location), e.kind)
             for e in analytic.extrema_n3()

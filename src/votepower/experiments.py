@@ -32,11 +32,6 @@ from .simplex import (
 
 MC_CHUNK = 4096
 MC_KERNEL_BUDGET = 18          # vectorized per-sample enumeration cap
-# 2^n * block columns.  It fixes the reduction blocks, whose sums, squares
-# and ranges give every output bit, so changing it changes the bits.  A
-# block is counted and reduced one leaf of numpy's pairwise summation tree
-# at a time (``_pairwise_tree``), so its size sets no memory.
-_SUM_CELL_BUDGET = 1 << 22
 # Cells a tile of counting holds: per sample its 2^n sums, which become its
 # bin keys, and its histogram entries; or a slab of index values or
 # Hoeffding bounds, some quota levels of a leaf; or a stack of spline
@@ -98,9 +93,8 @@ class _Accumulator:
 
     Each leaf of samples gets a fresh accumulator, which ``add`` fills one
     slab at a time.  Merging adds the sums and squares and takes the lower
-    minimum and the higher maximum: it joins a block's leaves up the
-    pairwise tree, then the blocks of a chunk in order, then the chunks in
-    order.
+    minimum and the higher maximum: it joins a chunk's leaves up the
+    pairwise tree, then the chunks in order.
     """
 
     def __init__(self, shape):
@@ -167,8 +161,8 @@ def _power_values(weights, grid, statistic, scratch=None):
     """Per-sample index values over the grid, as (rows, values) slabs: rows
     is a slice of the grid, and values is (levels, n, samples) profiles,
     largest first, or (levels, 1, samples) for coleman, for the samples of
-    ``weights``.  The Monte Carlo run gives it one leaf of a reduction block
-    at a time (see ``_mc_curves``).
+    ``weights``.  The Monte Carlo run gives it one leaf of a chunk at a
+    time (see ``_mc_curves``).
 
     The samples are counted in tiles, each as many samples as keep its
     coalition sums, bin keys and histogram within ``_TILE_CELL_BUDGET``
@@ -284,7 +278,7 @@ def _reduce(partials):
 
 def _mc_curves(
     n, quotas, samples, seed, workers, values, names, method="mc",
-    draw=_sorted_weight_chunk, block=None, level_bytes=8,
+    draw=_sorted_weight_chunk, level_bytes=8,
 ):
     """The Monte Carlo run shared by the ``mc_*`` estimators.
 
@@ -294,18 +288,18 @@ def _mc_curves(
     slabs: rows is a slice of the grid, and values is (levels, names,
     samples), one curve per name.
 
-    A chunk is reduced in blocks of ``block`` samples (None: the whole
-    chunk): each (quota, name) series is summed pairwise over a block.  No
-    block is held whole.  ``_pairwise_tree`` walks it in leaves of at most
-    ``8 * _TILE_CELL_BUDGET // (levels * level_bytes)`` samples, or 128 if
-    that is more, where ``level_bytes`` is what one sample holds per quota
-    level while its leaf is reduced, so a leaf fits in the bytes of one
-    slab.  ``values`` maps each leaf into a fresh accumulator of the full
-    (grid, names) shape; the leaves are merged up the tree with
-    ``_Accumulator.merge``, which gives the bits of one pairwise sum over
-    the block, and the blocks are merged in order.  ``scratch`` is a
-    ``threading.local``, so each worker thread holds its own working arrays
-    from chunk to chunk, and they are freed when the call returns.
+    Each (quota, name) series is summed pairwise over a chunk, but no
+    chunk's values are held whole: ``_pairwise_tree`` walks the chunk in
+    leaves of at most ``8 * _TILE_CELL_BUDGET // (levels * level_bytes)``
+    samples, or 128 if that is more, where ``level_bytes`` is what one
+    sample holds per quota level while its leaf is reduced, so a leaf fits
+    in the bytes of one slab.  ``values`` maps each leaf into a fresh
+    accumulator of the full (grid, names) shape; the leaves are merged up
+    the tree with ``_Accumulator.merge``, which gives the bits of one
+    pairwise sum over the chunk, and ``_run_chunks`` merges the chunks in
+    order.  ``scratch`` is a ``threading.local``, so each worker thread
+    holds its own working arrays from chunk to chunk, and they are freed
+    when the call returns.
     The callers have checked n, samples and workers with ``_mc_counts``.
     """
     grid = as_quota_grid(default_quota_grid() if quotas is None else quotas)
@@ -323,12 +317,7 @@ def _mc_curves(
                 stats.add(slab, rows)
             return stats
 
-        acc = _Accumulator(shape)
-        step = block or count
-        for first in range(0, count, step):
-            tree = _pairwise_tree(first, min(first + step, count), cap, leaf, _Accumulator.merge)
-            acc.merge(tree)
-        return acc
+        return _pairwise_tree(0, count, cap, leaf, _Accumulator.merge)
 
     mean, stderr = _run_chunks(worker, samples, workers).finalize(samples)
     meta = {"n": n, "seed": base.seed, "stream": base.stream, "method": method}
@@ -340,15 +329,14 @@ def _mc_curves(
 
 
 def _counted_curves(n, quotas, samples, seed, workers, statistic, names):
-    """``_mc_curves`` over ``_power_values``, in blocks of
-    ``_SUM_CELL_BUDGET >> n`` samples; a leaf's samples hold their integer
-    counts per quota level."""
+    """``_mc_curves`` over ``_power_values``; a leaf's samples hold their
+    integer counts per quota level."""
     _check_kernel_budget(n)
     values = functools.partial(_power_values, statistic=statistic)
     rows = 1 if statistic == "coleman" else 1 + n
     return _mc_curves(
         n, quotas, samples, seed, workers, values, names,
-        block=max(1, _SUM_CELL_BUDGET >> n), level_bytes=rows * _count_dtype(n).itemsize,
+        level_bytes=rows * _count_dtype(n).itemsize,
     )
 
 
@@ -389,8 +377,8 @@ def mc_hoeffding_curve(
 
     The bound needs only each sample's sum of squared weights, so unlike
     the enumerating estimators it enumerates nothing, and a chunk's weights
-    are reduced to those sums a block of rows at a time, whatever n.  The
-    chunk is one reduction block; its bounds are formed a leaf at a time.
+    are reduced to those sums a block of rows at a time, whatever n.  Its
+    bounds are formed a leaf at a time.
     """
     n, samples, workers = _mc_counts(n, samples, workers)
     return _mc_curves(

@@ -172,6 +172,29 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n", "# weights\n"],
+                             ids=["empty", "blank-lines", "white-space", "comment"])
+    def test_weights_file_without_a_weight(self, tmp_path, capsys, text):
+        # refused by name, with no warning of numpy's loadtxt on stderr
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        code, out, err = run_cli(["indices", "--weights-csv", str(path), "--quota", "0.6"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert "--weights-csv needs at least one weight" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("quotas", ["0.6", "0.4", ""])
+    def test_analytic_extrema_refuses_quotas(self, tmp_path, capsys, quotas):
+        # the extrema are points, so a grid would be ignored, valid or not
+        config = tmp_path / "votepower.conf"
+        config.write_text(f"quotas={quotas}\n")
+        command = ["analytic", "--what", "extrema"]
+        for argv in ([*command, f"--quotas={quotas}"], ["--config", str(config), *command]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "--quotas" in err
+
     @pytest.mark.parametrize("fraction", ["1/0", "0/0", "2/00"])
     def test_quota_fraction_with_zero_denominator(self, capsys, fraction):
         code, out, err = run_cli(
@@ -739,6 +762,33 @@ class TestDeterminismAndRoundTrip:
         )
         assert (code, out) == (2, "")
         assert "is not a curve JSON row list" in err
+
+    @pytest.mark.parametrize("row", ["0.6,beta_rank_1", "0.6", ","])
+    def test_spline_fit_rejects_a_short_csv_row(self, tmp_path, capsys, row):
+        # refused by its line number, as the JSON reader refuses a short row,
+        # rather than skipped and the rest fitted
+        rows = [f"{0.6 + 0.01 * i!r},s,0.5,0,1" for i in range(12)]
+        rows.insert(5, row)
+        curve_path = tmp_path / "curve.csv"
+        curve_path.write_text("\n".join([",".join(_CURVE_HEADER), *rows]) + "\n")
+        code, out, err = run_cli(
+            ["spline-fit", "--input", str(curve_path), "--max-degree", "1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "is not a curve CSV" in err and "line 7" in err
+
+    def test_spline_fit_skips_blank_csv_lines(self, tmp_path, capsys):
+        rows = [f"{0.6 + 0.01 * i!r},s,{0.5 - 0.02 * i!r},0,1" for i in range(12)]
+        fits = []
+        for blanks in ([], ["", "  "]):
+            curve_path = tmp_path / "curve.csv"
+            curve_path.write_text("\n".join([",".join(_CURVE_HEADER), *rows[:5], *blanks,
+                                             *rows[5:], *blanks]) + "\n")
+            fits.append(run_cli(
+                ["spline-fit", "--input", str(curve_path), "--max-degree", "1"], capsys
+            ))
+        assert fits[0][0] == 0
+        assert fits[1] == fits[0]
 
     @pytest.mark.parametrize("quota,mean", [("0.65", "nan"), ("nan", "0.5"), ("0.65", "inf")])
     def test_spline_fit_rejects_non_finite_samples(self, tmp_path, capsys, quota, mean):

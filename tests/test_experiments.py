@@ -267,7 +267,10 @@ def _mc_digest(n, samples, statistic, workers, quotas=None):
 
 # sha256 of every curve's mean and stderr bytes on the default grid at seed
 # 23, as computed before the counting was tiled.  Below n = 12 the samples
-# cross a chunk boundary; at n = 12 and 14 they span two reduction blocks.
+# cross a chunk boundary; at n = 12 and 14 they lie in one chunk.  The two
+# beta entries there were recomputed when a chunk became one pairwise sum
+# (they had spanned two reduction blocks); psi and coleman values are
+# multiples of 2^(1-n) and 2^-n, whose sums are exact in any order.
 PINNED_DIGESTS = {
     (1, 4103, "beta"): "f15b9f3f3196b04d8b0dec905ed1a6358775736c89a27fce439fc086bd37db7b",
     (1, 4103, "psi"): "f15b9f3f3196b04d8b0dec905ed1a6358775736c89a27fce439fc086bd37db7b",
@@ -289,11 +292,11 @@ PINNED_DIGESTS = {
     (10, 4103, "psi"): "3f41f05a546214aae10d46941a6baa58d31fd0193a9a9c6cb6c6589c62ce40f2",
     (10, 4103, "coleman"): "322838c4dfe5db3a7c7b715906dcef251aeb17be744443b9acdbe2bf8bdd95cb",
     (10, 4103, "hoeffding"): "f87f43df6db2420f68db71bf555ae9ab935962a398c10fd97ac5147322e0e503",
-    (12, 1100, "beta"): "9dc30ff6dd6fb26dad18eb25815161320f35f1e9774b571f5c5001dcea08f574",
+    (12, 1100, "beta"): "8c5e2f48696ed0470461b8b81f955726c9e2620440fd4a8f5326d36545db9b86",
     (12, 1100, "psi"): "3e64c2d216050f8628ad3d1023066f1db56676973e1e5f5b6ad76b13b6ae03d5",
     (12, 1100, "coleman"): "c222a492758603d07a50f3ab6ec81343bd906fa09a1ef05c8b661ba4f97e6433",
     (12, 1100, "hoeffding"): "d0e7c8ccc6b9f705445a3bcc1a5c55f1bdd5e88357dfa8df4881f577103d222e",
-    (14, 300, "beta"): "ceab67848ce06c4f213c8ffcca7742f42c3defe5504ee1ef86f0077ab13ae146",
+    (14, 300, "beta"): "41c924c06b79568fddccbebb92a68809fabca17b3977471f35d7a250b9c4a7cf",
     (14, 300, "psi"): "258fc826f37815b318672fa4741b1f9cbd90900d94891a3217664e2d49b3ed83",
     (14, 300, "coleman"): "819535aaa23e61bffa60428aeacc975327279bd82bf64386d90362189b9529c0",
     (14, 300, "hoeffding"): "4689628ecfe0f02539e81e4d64f436e721f0cd5f3286850c38099ba2791e79cf",
@@ -301,7 +304,7 @@ PINNED_DIGESTS = {
 
 
 # The same digests on two grids that the default one does not reach: 1000
-# levels, where a tile is a few samples wide and a block row is long, and
+# levels, where a tile is a few samples wide and a leaf 299 at most, and
 # levels 2^-20 apart, up to 16 in one binning cell.  Computed with the
 # per-tile suffix sums that the counting core used to take.
 QUOTA_GRIDS = {
@@ -349,9 +352,8 @@ GRID_DIGESTS = {
 
 
 def _assembled_values(weights, grid, statistic):
-    """The one reduction block of values that ``_power_values`` yields for
-    at most a block of samples, assembled from its slabs, which must cover
-    every quota level exactly once."""
+    """The values that ``_power_values`` yields for ``weights``, assembled
+    from its slabs, which must cover every quota level exactly once."""
     slabs = [(rows, values.copy()) for rows, values in
              experiments._power_values(weights, grid, statistic)]
     levels = np.arange(grid.size)
@@ -373,8 +375,8 @@ def _spy_tile_widths(monkeypatch):
 
 
 class TestTiledCounting:
-    """Tiles set only how much of a block is counted at once: the sums,
-    squares and ranges are taken over the same reduction blocks, so every
+    """Tiles set only how much of a chunk is counted at once: the sums,
+    squares and ranges are taken pairwise over each whole chunk, so every
     output bit is pinned."""
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -420,6 +422,19 @@ class TestTiledCounting:
             profile = banzhaf(VotingGame(weights[j], grid[40]))
             assert np.array_equal(narrow[40, :, j], np.sort(getattr(profile, statistic))[::-1])
 
+    @pytest.mark.parametrize("statistic", ["beta", "psi", "coleman"])
+    def test_a_chunk_is_one_pairwise_sum(self, statistic):
+        # Interior quotas only: at q = 1 every series is constant, and a
+        # constant series finalizes to its value, not to a sum.
+        n, seed, grid = 12, 4, np.array([0.55, 0.7, 0.85])
+        if statistic == "coleman":
+            curves = [mc_coleman_curve(n, grid, samples=MC_CHUNK, seed=seed)]
+        else:
+            curves = mc_power_curve(n, grid, samples=MC_CHUNK, seed=seed, statistic=statistic)
+        values = _assembled_values(_sorted_weight_chunk(n, seed, 0, MC_CHUNK), grid, statistic)
+        expected = values.sum(axis=-1) / MC_CHUNK
+        assert np.stack([c.mean for c in curves], axis=1).tobytes() == expected.tobytes()
+
 
 def _traced_peak(run):
     tracemalloc.start()
@@ -433,7 +448,7 @@ def _traced_peak(run):
 class TestPairwiseTree:
     """Per-leaf numpy sums merged up ``_pairwise_tree`` must have the bits
     of one numpy sum along the last axis, which is how every Monte Carlo
-    block is reduced.  A numpy that split its pairwise sum another way
+    chunk is reduced.  A numpy that split its pairwise sum another way
     fails here, before any digest does."""
 
     @staticmethod
@@ -466,17 +481,17 @@ class TestPairwiseTree:
 
 
 class TestMonteCarloMemory:
-    """A worker holds one leaf of a reduction block: its integer counts,
-    which fit in the bytes of one slab of float values, that slab, and one
-    tile of counting scratch.  It holds no block of counts or values, nor
-    a block's sum, key and histogram tables."""
+    """A worker holds one leaf of a chunk: its integer counts, which fit
+    in the bytes of one slab of float values, that slab, and one tile of
+    counting scratch.  It holds no chunk of counts or values, nor a
+    chunk's sum, key and histogram tables."""
 
     def test_power_curve_n10_two_workers(self):
         peak = _traced_peak(lambda: mc_power_curve(10, samples=8192, workers=2))
         assert peak <= 16 * 2 ** 20
 
     def test_power_curve_wide_grid_two_workers(self):
-        # A block of counts on this grid is 86 MiB at n = 10; a leaf is
+        # A chunk of counts on this grid is 86 MiB at n = 10; a leaf is
         # 128 samples.
         grid = np.linspace(0.5005, 1, 1000)
         peak = _traced_peak(lambda: mc_power_curve(10, grid, samples=8192, workers=2))
@@ -491,7 +506,7 @@ class TestMonteCarloMemory:
         assert peak <= 24 * 2 ** 20
 
     def test_no_scratch_outlives_the_call(self):
-        # Each worker's scratch (megabytes of tables and value blocks) is
+        # Each worker's scratch (megabytes of tables and value slabs) is
         # freed when the estimator returns.  A fresh process, warmed up by
         # one-sample calls that a cache kept between calls would outgrow,
         # prints the traced memory each call leaves behind.
@@ -521,7 +536,7 @@ class TestMonteCarloMemory:
 class TestRankOrder:
     @pytest.mark.parametrize("statistic", ["beta", "psi"])
     def test_ascending_chunk_is_sorted(self, statistic):
-        # Ascending weights give ascending profiles, so the block is sorted.
+        # Ascending weights give ascending profiles, so the values are sorted.
         n, grid = 6, default_quota_grid()
         weights = np.ascontiguousarray(_sorted_weight_chunk(n, 9, 0, 50)[:, ::-1])
         values = _assembled_values(weights, grid, statistic)
